@@ -6,6 +6,11 @@ lp(Y) = (5 + |Y|)^alpha / (5 + 1)^alpha; the search stops once B finished
 candidates have been collected or the length limit T is reached.  All ties
 are broken by lexicographic token-id order so decoding is fully
 deterministic.
+
+A step scores the n alive hypotheses' n x V candidates as one numpy array
+and builds Hypothesis objects only for its top B + n, selected with
+np.partition and ordered with np.lexsort on (-score, parent's lexicographic
+rank, token id).
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
+
+import numpy as np
 
 from .corpus import EOS_ID
 from .errors import ParameterError
@@ -103,11 +110,21 @@ def vbs_decode(
     """Vanilla beam search over the model's next-token distributions.
 
     Each step expands every alive hypothesis by all V tokens and ranks the
-    candidates by normalized score.  Finished candidates ranked inside the
-    top B are set aside (they do not consume alive slots); the B best
-    unfinished candidates survive.  If fewer than B hypotheses finish within
-    the length limit, the output beam is padded with the best unfinished
-    ones.
+    candidates by normalized score, ties by token ids.  Finished candidates
+    ranked inside the top B are set aside (they do not consume alive slots);
+    the B best unfinished candidates survive.  If fewer than B hypotheses
+    finish within the length limit, the output beam is padded with the best
+    unfinished ones.
+
+    A step scores the n x V candidates of the n alive hypotheses as one
+    array and ranks only its top k = min(B + n, n * V): every parent has
+    exactly one EOS child, so the top B + n hold at least B unfinished ones.
+    np.partition finds the k-th best score; every candidate no worse than it
+    is kept, so ties at the cut survive, and np.lexsort orders them by
+    (-score, parent's lexicographic rank, token id).  All alive prefixes have
+    the same length, so this is the lexicographic token order of the
+    children.  Only the first k become Hypothesis objects; ``sort_events``
+    still records the n * V pool.
     """
     v = model.vocab.size
     if v < 2:
@@ -121,26 +138,36 @@ def vbs_decode(
     step = 0
     while alive and len(finished) < b and step < t:
         step += 1
-        candidates: list[tuple[float, Hypothesis]] = []
-        for hyp in alive:
-            logprobs = model.next_token_logprobs(source, hyp.tokens)
-            report.expansions += v
-            base = hyp.logprob
-            tokens = hyp.tokens
-            length = len(tokens) + 1
-            for token in range(v):
-                child = Hypothesis(
-                    tokens + (token,), base + float(logprobs[token]), token == EOS_ID
-                )
-                candidates.append(
-                    (normalized_score(child.logprob, length, alpha), child)
-                )
-        report.sort_events.append((step, len(candidates)))
-        candidates.sort(key=lambda pair: (-pair[0], pair[1].tokens))
-        for _, child in candidates[:b]:
-            if child.finished and len(finished) < b:
+        # Row i belongs to the parent of lexicographic rank i, so a flat
+        # candidate index i * V + token is its lexicographic rank too.
+        parents = sorted(alive, key=lambda h: h.tokens)
+        rows = np.stack([model.next_token_logprobs(source, h.tokens) for h in parents])
+        n = len(parents)
+        if rows.shape != (n, v):
+            raise ParameterError(f"next-token log-probabilities must have length V = {v}")
+        # NaN and +inf fail this comparison; -inf (an impossible token) passes.
+        if not (rows < np.inf).all():
+            raise ParameterError("next-token log-probabilities must not be NaN or +inf")
+        report.expansions += n * v
+        report.sort_events.append((step, n * v))
+        logprobs = (np.array([h.logprob for h in parents])[:, None] + rows).ravel()
+        negated = -(logprobs / length_penalty(step, alpha))
+        k = min(b + n, n * v)
+        cut = np.partition(negated, k - 1)[k - 1]
+        pool = np.flatnonzero(negated <= cut)
+        top = pool[np.lexsort((pool, negated[pool]))][:k]
+
+        alive = []
+        for position, index in enumerate(top.tolist()):
+            parent, token = divmod(index, v)
+            child = Hypothesis(
+                parents[parent].tokens + (token,), float(logprobs[index]), token == EOS_ID
+            )
+            if not child.finished:
+                if len(alive) < b:
+                    alive.append(child)
+            elif position < b and len(finished) < b:
                 finished.append(child)
-        alive = [child for _, child in candidates if not child.finished][:b]
 
     beam_set = list(finished)
     if len(beam_set) < b:

@@ -44,6 +44,23 @@ class RandomTableLM(LanguageModel):
         return self._cache[key]
 
 
+class TieLM(LanguageModel):
+    """Log-probabilities drawn from {0, -0.5, -1, -1.5}, pure in (source, prefix).
+
+    The rows are not normalized; on this grid every sum is exact, so equal
+    scores recur within a parent and across parents.
+    """
+
+    def __init__(self, vocab: Vocabulary, seed: int, direction: str = REGULAR):
+        self.vocab = vocab
+        self.direction = direction
+        self._seed = seed
+
+    def next_token_logprobs(self, source, prefix) -> np.ndarray:
+        rng = np.random.default_rng([self._seed, 5171, *source, 733, *prefix])
+        return -rng.integers(0, 4, size=self.vocab.size) / 2.0
+
+
 class PeakedEosLM(LanguageModel):
     """P(EOS | anything) = 1 exactly; every other token has probability 0."""
 

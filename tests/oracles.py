@@ -12,11 +12,12 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
-EOS = 1
+BOS, EOS, SEP = 0, 1, 2
 
 
 def oracle_length_penalty(length: int, alpha: float) -> float:
@@ -55,6 +56,72 @@ def exhaustive_best(model, source, v: int, t: int, alpha: float):
 
     expand((), 0.0)
     return best_tokens, best_score
+
+
+def reference_vbs(model, source, v: int, b: int, t: int, alpha: float):
+    """Beam search by scoring and sorting every one of the B x V candidates.
+
+    Each step builds every child of every alive prefix, sorts all of them by
+    (-score, tokens), sets aside the finished ones ranked inside the top b
+    and keeps the b best unfinished ones.  Returns the final beam as
+    (tokens, logprob, finished) triples in score order, their scores, the
+    expansion count and the (step, pool size) sort events.
+    """
+    alive = [((), 0.0)]
+    finished = []
+    expansions = 0
+    sort_events = []
+    step = 0
+    while alive and len(finished) < b and step < t:
+        step += 1
+        candidates = []
+        for tokens, logprob in alive:
+            logprobs = model.next_token_logprobs(source, tokens)
+            expansions += v
+            for token in range(v):
+                child_logprob = logprob + float(logprobs[token])
+                score = child_logprob / oracle_length_penalty(step, alpha)
+                candidates.append((-score, tokens + (token,), child_logprob))
+        sort_events.append((step, len(candidates)))
+        candidates.sort(key=lambda c: (c[0], c[1]))
+        for _, tokens, logprob in candidates[:b]:
+            if tokens[-1] == EOS and len(finished) < b:
+                finished.append((tokens, logprob, True))
+        alive = [(tokens, logprob) for _, tokens, logprob in candidates
+                 if tokens[-1] != EOS][:b]
+    beam = finished + [(tokens, logprob, False) for tokens, logprob in alive]
+    beam = beam[:b]
+    scored = [
+        (logprob / oracle_length_penalty(len(tokens), alpha), (tokens, logprob, done))
+        for tokens, logprob, done in beam
+    ]
+    scored.sort(key=lambda pair: (-pair[0], pair[1][0]))
+    return SimpleNamespace(
+        beam=[hyp for _, hyp in scored],
+        scores=[score for score, _ in scored],
+        expansions=expansions,
+        sort_events=sort_events,
+    )
+
+
+def oracle_ngram_logprobs(counts, order: int, weights, k: float, v: int,
+                          source, prefix) -> np.ndarray:
+    """Interpolated add-k n-gram row computed afresh from the count tables.
+
+    Orders are added from 1 up, each as a flat add-k share followed by the
+    observed counts, so the floats match any implementation of the same
+    formula that adds in the same order.
+    """
+    stream = (BOS, *source, SEP, *prefix)
+    probs = np.zeros(v)
+    for o in range(1, order + 1):
+        ctx = stream[max(0, len(stream) - (o - 1)):] if o > 1 else ()
+        bucket = counts[o].get(ctx, {})
+        denom = sum(bucket.values()) + k * v
+        probs += weights[o - 1] * (k / denom)
+        for token, count in bucket.items():
+            probs[token] += weights[o - 1] * count / denom
+    return np.log(probs)
 
 
 def _tree_flow(

@@ -3,6 +3,7 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,8 @@ from bidibeam.corpus import EOS_ID, build_vocabulary, encode_pairs
 from bidibeam.errors import ParameterError
 from bidibeam.lm import REGULAR, ConditionalNGramLM
 
-from conftest import NoEosLM, PeakedEosLM, RandomTableLM, dummy_vocab
-from oracles import exhaustive_best
+from conftest import NoEosLM, PeakedEosLM, RandomTableLM, TieLM, dummy_vocab
+from oracles import exhaustive_best, reference_vbs
 
 
 class TestLengthPenalty:
@@ -89,6 +90,19 @@ class TestHypothesis:
 
     def test_pure_eos_core_is_empty(self):
         assert Hypothesis((EOS_ID,), -0.5, True).core() == ()
+
+
+class FixedRowLM:
+    """The same next-token row after every prefix."""
+
+    direction = REGULAR
+
+    def __init__(self, vocab, row):
+        self.vocab = vocab
+        self._row = np.array(row)
+
+    def next_token_logprobs(self, source, prefix):
+        return self._row
 
 
 class TestVbsDecode:
@@ -196,6 +210,24 @@ class TestVbsDecode:
         assert len(out.beam) == 3
         assert not any(h.finished for h in out.beam)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_or_positive_infinite_logprob_rejected(self, vocab6, bad):
+        model = FixedRowLM(vocab6, [-1.0, -1.0, bad, -1.0, -1.0, -1.0])
+        with pytest.raises(ParameterError, match="NaN or \\+inf"):
+            vbs_decode(model, (4,), SearchParams(2, 3))
+
+    def test_negative_infinite_logprob_decodes(self, vocab6):
+        # PeakedEosLM gives every token but EOS log-probability -inf.
+        model = PeakedEosLM(vocab6)
+        out = vbs_decode(model, (4,), SearchParams(4, 3))
+        assert out.selected.tokens == (EOS_ID,)
+        assert out.beam[1:] and all(s == -math.inf for s in out.scores[1:])
+
+    def test_row_of_wrong_length_rejected(self, vocab6):
+        model = FixedRowLM(vocab6, [-1.0] * 5)
+        with pytest.raises(ParameterError, match="length V"):
+            vbs_decode(model, (4,), SearchParams(2, 3))
+
     def test_tiny_vocabulary_rejected(self):
         fake = SimpleNamespace(vocab=SimpleNamespace(size=1), direction=REGULAR)
         with pytest.raises(ParameterError):
@@ -212,3 +244,26 @@ def test_beam_never_exceeds_b_and_stays_sorted(seed, b, t):
     assert len(out.beam) == len(out.scores)
     for hyp in out.beam:
         assert 1 <= len(hyp.tokens) <= t
+
+
+MODELS = {
+    "random": lambda vocab, seed: RandomTableLM(vocab, seed),
+    "ties": lambda vocab, seed: TieLM(vocab, seed),
+    "no-eos": lambda vocab, seed: NoEosLM(vocab),
+    "peaked-eos": lambda vocab, seed: PeakedEosLM(vocab),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(MODELS)), st.integers(0, 10 ** 6), st.integers(4, 7),
+       st.integers(1, 10), st.integers(1, 5), st.sampled_from([0.0, 0.6, 1.0]))
+def test_matches_reference_loop_exactly(kind, seed, v, b, t, alpha):
+    """The array step equals sorting all B x V candidates, bit for bit."""
+    model = MODELS[kind](dummy_vocab(v), seed)
+    out = vbs_decode(model, (4,), SearchParams(b, t, alpha))
+    ref = reference_vbs(model, (4,), v, b, t, alpha)
+    assert [(h.tokens, h.logprob, h.finished) for h in out.beam] == ref.beam
+    assert list(out.scores) == ref.scores
+    assert out.selected == out.beam[0]
+    assert out.expansions == out.report.expansions == ref.expansions
+    assert out.report.sort_events == ref.sort_events

@@ -233,6 +233,24 @@ class TestDecode:
         assert "no trained models" in capsys.readouterr().err
 
 
+class TestModelFileFaults:
+    """A corrupt model file exits 1 with the file and the key named."""
+
+    @pytest.mark.parametrize("corrupt, key", [
+        (lambda payload: payload.pop("vocab_size"), "vocab_size"),
+        (lambda payload: payload["counts"][0][1][0][1][0].__setitem__(1, -5), "counts"),
+    ], ids=["missing-vocab_size", "negative-count"])
+    def test_decode_names_file_and_key(self, workspace, trained, capsys, corrupt, key):
+        path = trained / "lm_regular.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert decode_into(workspace, trained, "--algorithm", "vbs") == 1
+        err = capsys.readouterr().err
+        assert "lm_regular.json" in err
+        assert f"key {key!r}" in err
+
+
 @pytest.fixture(scope="module")
 def swept(workspace, tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bidibeam import lm
 from bidibeam.corpus import EOS_ID, build_vocabulary, encode_pairs
 from bidibeam.errors import (
     DirectionError,
@@ -16,8 +17,10 @@ from bidibeam.errors import (
     VocabularyMismatchError,
 )
 from bidibeam.lm import REGULAR, REVERSE, ConditionalNGramLM, reverse_sequence_logprob
+from bidibeam.synth import synthetic_pairs
 
 from conftest import dummy_vocab
+from oracles import oracle_ngram_logprobs
 
 
 def make_model(surface_pairs, order=1, direction=REGULAR, weights=None, k=1.0,
@@ -156,6 +159,74 @@ class TestNextTokenLogprobs:
             model.next_token_logprobs((vocab.size,), ())
 
 
+def trained_pair():
+    """Order-4 regular and reverse models trained on a small synthetic corpus."""
+    pairs = synthetic_pairs(60, seed=4)
+    vocab = build_vocabulary(pairs)
+    encoded = encode_pairs(pairs, vocab)
+    models = [ConditionalNGramLM.train(encoded, vocab, 4, d, (0.1, 0.2, 0.3, 0.4), 0.01)
+              for d in (REGULAR, REVERSE)]
+    return models, encoded
+
+
+def queries(encoded):
+    """(source, prefix) contexts from the targets, repeats included."""
+    return [(p.source, p.target[:i]) for p in encoded[:20]
+            for i in range(len(p.target) + 1)]
+
+
+class TestRowMemo:
+    def test_rows_do_not_depend_on_query_order(self):
+        (first, _), encoded = trained_pair()
+        (second, _), _ = trained_pair()
+        contexts = queries(encoded)
+        forward = [first.next_token_logprobs(s, p).tobytes() for s, p in contexts]
+        backward = [second.next_token_logprobs(s, p).tobytes()
+                    for s, p in reversed(contexts)]
+        assert forward == backward[::-1]
+
+    def test_rows_match_uncached_formula(self):
+        (model, _), encoded = trained_pair()
+        for source, prefix in queries(encoded):
+            expected = oracle_ngram_logprobs(
+                model._counts, model.order, model.weights, model.k,
+                model.vocab.size, source, prefix)
+            assert model.next_token_logprobs(source, prefix).tobytes() == expected.tobytes()
+
+    def test_returned_row_is_read_only(self):
+        (model, _), encoded = trained_pair()
+        row = model.next_token_logprobs(encoded[0].source, ())
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
+    def test_sequence_scores_match_uncached_formula(self):
+        (regular, reverse), encoded = trained_pair()
+
+        def oracle_sum(model, source, target):
+            total = 0.0
+            for i, token in enumerate(target):
+                total += float(oracle_ngram_logprobs(
+                    model._counts, model.order, model.weights, model.k,
+                    model.vocab.size, source, target[:i])[token])
+            return total
+
+        for pair in encoded[:20]:
+            target = pair.target + (EOS_ID,)
+            assert regular.sequence_logprob(pair.source, target) == oracle_sum(
+                regular, pair.source, target)
+            assert reverse_sequence_logprob(reverse, pair.source, pair.target) == (
+                oracle_sum(reverse, pair.source, pair.target[::-1] + (EOS_ID,)))
+
+    def test_full_memo_is_cleared_without_changing_rows(self, monkeypatch):
+        (model, _), encoded = trained_pair()
+        monkeypatch.setattr(lm, "ROW_MEMO_FLOATS", 3 * model.vocab.size)
+        contexts = queries(encoded)
+        rows = [model.next_token_logprobs(s, p).tobytes() for s, p in contexts]
+        assert len(model._rows) <= 3
+        (fresh, _), _ = trained_pair()
+        assert rows == [fresh.next_token_logprobs(s, p).tobytes() for s, p in contexts]
+
+
 class TestSequenceLogprob:
     def test_single_eos_target_is_one_term(self):
         model, vocab = make_model([(["q"], ["a"])], k=1.0)
@@ -260,11 +331,74 @@ class TestSerialization:
         with pytest.raises(FormatError):
             ConditionalNGramLM.load(path, vocab)
 
+    def test_non_object_file_rejected(self, tmp_path):
+        path = tmp_path / "lm.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(FormatError):
+            ConditionalNGramLM.load(path, dummy_vocab(6))
+
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "lm.json"
         path.write_text("not json at all", encoding="utf-8")
         with pytest.raises(FormatError):
             ConditionalNGramLM.load(path, dummy_vocab(6))
+
+
+def _drop(key):
+    return lambda payload: payload.pop(key)
+
+
+def _set(key, value):
+    return lambda payload: payload.__setitem__(key, value)
+
+
+def _first_bucket(payload, order):
+    """The [token, count] list of the first context of an order's table."""
+    return next(table for o, table in payload["counts"] if o == order)[0][1]
+
+
+SCHEMA_FAULTS = [
+    ("missing-vocab_size", _drop("vocab_size"), "'vocab_size'"),
+    ("missing-order", _drop("order"), "'order'"),
+    ("missing-direction", _drop("direction"), "'direction'"),
+    ("missing-weights", _drop("weights"), "'weights'"),
+    ("missing-k", _drop("k"), "'k'"),
+    ("missing-counts", _drop("counts"), "'counts'"),
+    ("string-order", _set("order", "2"), "'order'"),
+    ("float-vocab_size", _set("vocab_size", 6.0), "'vocab_size'"),
+    ("string-k", _set("k", "0.5"), "'k'"),
+    ("infinite-k", _set("k", math.inf), "'k'"),
+    ("nan-weight", _set("weights", [math.nan, 0.5]), "'weights'"),
+    ("dict-counts", _set("counts", {}), "'counts'"),
+    ("weights-sum", _set("weights", [0.5, 0.6]), "weights must sum to 1"),
+    ("negative-count",
+     lambda p: _first_bucket(p, 1)[0].__setitem__(1, -5), "'counts'"),
+    ("fractional-count",
+     lambda p: _first_bucket(p, 1)[0].__setitem__(1, 1.5), "'counts'"),
+    ("long-context",
+     lambda p: p["counts"][1][1][0].__setitem__(0, [4, 4]), "'counts'"),
+    ("token-id-V",
+     lambda p: _first_bucket(p, 1)[0].__setitem__(0, p["vocab_size"]), "'counts'"),
+    ("context-id-V",
+     lambda p: p["counts"][1][1][0].__setitem__(0, [p["vocab_size"]]), "'counts'"),
+    ("missing-order-table", lambda p: p["counts"].pop(), "'counts'"),
+]
+
+
+@pytest.mark.parametrize("corrupt, named", [f[1:] for f in SCHEMA_FAULTS],
+                         ids=[f[0] for f in SCHEMA_FAULTS])
+def test_schema_fault_names_file_and_key(tmp_path, corrupt, named):
+    model, vocab = make_model([(["q"], ["a", "b", "a"]), (["r"], ["c"])], order=2,
+                              weights=[0.5, 0.5], k=0.5)
+    path = tmp_path / "lm.json"
+    model.save(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    corrupt(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FormatError) as excinfo:
+        ConditionalNGramLM.load(path, vocab)
+    assert str(path) in str(excinfo.value)
+    assert named in str(excinfo.value)
 
 
 @settings(max_examples=30, deadline=None)

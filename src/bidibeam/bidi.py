@@ -24,7 +24,13 @@ from .corpus import EOS_ID
 from .errors import DirectionError, ParameterError, VocabularyMismatchError
 from .instrumentation import ComplexityReport
 from .lm import LanguageModel, reverse_sequence_logprob
-from .similarity import SimilaritySpec, dissimilarity
+from .similarity import SimilaritySpec, dissimilarity, dissimilarity_lower_bound
+
+# A pair is skipped only when its lower bound exceeds the best exact
+# dissimilarity by more than this margin, so float rounding in the bound
+# (a few ulps where it equals the exact value) never drops a tying pair.
+_PRUNE_RTOL = 1e-9
+_PRUNE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -133,6 +139,39 @@ def unreverse_hypothesis(hyp: Hypothesis) -> Hypothesis:
     return Hypothesis(tokens, hyp.logprob, hyp.finished)
 
 
+def agreement_argmin(
+    regular_cores: Sequence[Sequence[int]],
+    reverse_cores: Sequence[Sequence[int]],
+    regular_scores: Sequence[float],
+    measure: SimilaritySpec,
+) -> tuple[int, int, float, int]:
+    """The cross pair (i, j) minimizing (d, -regular_scores[i], i, j), its
+    dissimilarity d, and how many exact dissimilarities were computed.
+
+    Every pair gets a cheap lower bound and pairs are visited by ascending
+    (bound, -score, i, j).  Once a bound exceeds the best exact value by more
+    than the rounding margin, so does every later one, and none of those
+    pairs can win or tie, so the scan stops there.  The selection key is a
+    total order, so the result equals that of scanning every pair.
+    """
+    candidates = sorted(
+        (dissimilarity_lower_bound(y_n, y_r, measure), -regular_scores[i], i, j)
+        for i, y_n in enumerate(regular_cores)
+        for j, y_r in enumerate(reverse_cores)
+    )
+    best_key = None
+    exact_evals = 0
+    for bound, neg_score, i, j in candidates:
+        if best_key is not None and bound > best_key[0] * (1 + _PRUNE_RTOL) + _PRUNE_ATOL:
+            break
+        key = (dissimilarity(regular_cores[i], reverse_cores[j], measure), neg_score, i, j)
+        exact_evals += 1
+        if best_key is None or key < best_key:
+            best_key = key
+    d, _, i, j = best_key
+    return i, j, d, exact_evals
+
+
 def bidia_decode(
     regular: LanguageModel,
     reverse: LanguageModel,
@@ -143,10 +182,10 @@ def bidia_decode(
     """Agreement decoding over two half-size beams.
 
     Runs beam search with size B/2 under each model, un-reverses the
-    reverse-side hypotheses, evaluates the dissimilarity of every cross-beam
-    pair and outputs the regular-side member of the minimizing pair.  Ties
-    prefer the higher regular normalized score, then the lower regular
-    index, then the lower reverse index.
+    reverse-side hypotheses and outputs the regular-side member of the
+    cross-beam pair of least dissimilarity.  Ties prefer the higher regular
+    normalized score, then the lower regular index, then the lower reverse
+    index.
     """
     _check_directions(regular, reverse)
     if params.beam_size % 2 != 0 or params.beam_size < 2:
@@ -157,24 +196,18 @@ def bidia_decode(
     run_reverse = vbs_decode(reverse, source, half)
     unreversed = tuple(unreverse_hypothesis(h) for h in run_reverse.beam)
 
-    best_key = None
-    best: tuple[int, int, float] | None = None
-    evals = 0
-    for i, hyp_n in enumerate(run_regular.beam):
-        for j, hyp_r in enumerate(unreversed):
-            d = dissimilarity(hyp_n.core(), hyp_r.core(), measure)
-            evals += 1
-            key = (d, -run_regular.scores[i], i, j)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (i, j, d)
-    assert best is not None
-    i0, j0, d0 = best
+    i0, j0, d0, exact_evals = agreement_argmin(
+        [h.core() for h in run_regular.beam],
+        [h.core() for h in unreversed],
+        run_regular.scores,
+        measure,
+    )
 
     report = ComplexityReport(algorithm="bidia")
     report.merge_search(run_regular.report)
     report.merge_search(run_reverse.report)
-    report.pairwise_sim_evals = evals
+    report.pairwise_sim_evals = len(run_regular.beam) * len(unreversed)
+    report.exact_sim_evals = exact_evals
     report.wall_time = time.perf_counter() - started
     return DecodeOutput(
         selected=run_regular.beam[i0],

@@ -14,7 +14,6 @@ import csv
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,6 +27,7 @@ from .corpus import (
     build_vocabulary,
     encode_pairs,
     load_corpus,
+    read_user_text,
     split_corpus,
 )
 from .errors import BidibeamError, ConfigError
@@ -78,7 +78,6 @@ class RunConfig:
     nb_list: tuple[int, ...] = (2, 4, 8)
     algorithms: tuple[str, ...] = ALGORITHMS
     save_beams: bool = False
-    jobs: int = 1
     out: str | None = None
 
 
@@ -109,7 +108,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read a flat key=value config file; # starts a comment line."""
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_user_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -143,7 +142,6 @@ _CASTS: dict[str, Callable[[str], object]] = {
     "nb_list": _parse_ints,
     "algorithms": lambda text: tuple(p.strip() for p in text.split(",") if p.strip()),
     "save_beams": _parse_bool,
-    "jobs": int,
     "out": str,
 }
 
@@ -190,8 +188,6 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("order must be >= 1")
     if len(cfg.weights) != cfg.order:
         raise ConfigError("need exactly one interpolation weight per order")
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
     if len(cfg.split) != 3:
         raise ConfigError("split must be three comma-separated fractions")
     if any(lam < 0 for lam in cfg.lambda_grid) or not cfg.lambda_grid:
@@ -311,17 +307,6 @@ def _decoder(
     return lambda pair: bidia_decode(regular, reverse, pair.source, search, measure)
 
 
-def _decode_all(
-    pairs: Sequence[SentencePair],
-    decode: Callable[[SentencePair], DecodeOutput],
-    jobs: int,
-) -> list[DecodeOutput]:
-    if jobs == 1:
-        return [decode(pair) for pair in pairs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(decode, pairs))
-
-
 def _selected_score(output: DecodeOutput) -> float:
     return output.scores[output.beam.index(output.selected)]
 
@@ -426,7 +411,7 @@ def _decode_split(
     test_pairs = encode_pairs(split.test, vocab)
     if not test_pairs:
         raise ConfigError("test split is empty; adjust --split")
-    outputs = _decode_all(test_pairs, decode, cfg.jobs)
+    outputs = [decode(pair) for pair in test_pairs]
     return test_pairs, outputs, lam
 
 
@@ -491,7 +476,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def _load_beam_records(path: Path) -> list[dict]:
     records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_user_text(path, ConfigError).splitlines(), start=1):
         if not line:
             continue
         try:
@@ -645,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--nb-list", dest="nb_list", help="beam sizes to sweep")
         command.add_argument("--algorithms", help="algorithms to sweep")
         command.add_argument("--save-beams", dest="save_beams", action="store_true", default=None, help="persist full beams for later analysis")
-        command.add_argument("--jobs", type=int, help="concurrent decodes")
         command.add_argument("--out", help="output directory")
     return parser
 

@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import FormatError, ParameterError
+from .errors import BidibeamError, FormatError, ParameterError
 
 BOS_ID = 0
 EOS_ID = 1
@@ -27,9 +27,26 @@ SEP = "<sep>"
 UNK = "<unk>"
 
 RESERVED = (BOS, EOS, SEP, UNK)
+_RESERVED_SET = frozenset(RESERVED)
 
 # Punctuation marks split into standalone tokens.
 _TOKEN_RE = re.compile(r"[.!?,']|[^\s.!?,']+")
+
+
+def read_user_text(path: str | Path, error: type[BidibeamError] = FormatError) -> str:
+    """Read a user-supplied file as UTF-8.
+
+    Bytes that are not UTF-8 raise ``error`` naming the file, the line and
+    the first offending byte; an unreadable file still raises ``OSError``.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(
+            f"{path}: line {line}: not valid UTF-8 (byte {data[exc.start]:#04x})"
+        ) from None
 
 
 class Token(NamedTuple):
@@ -89,9 +106,7 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         surfaces: list[str] = []
-        for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        for lineno, line in enumerate(read_user_text(path).splitlines(), start=1):
             if not line:
                 continue
             parts = line.split("\t")
@@ -183,11 +198,13 @@ def load_corpus(
     """Read a parallel corpus file into tokenized (source, target) pairs.
 
     TSV: one pair per line, exactly one TAB. JSONL: one object per line with
-    "source" and "target" string fields. File order is preserved.
+    "source" and "target" string fields. File order is preserved.  A token
+    that spells a reserved marker (``<bos>``, ``<eos>``, ``<sep>``, ``<unk>``,
+    in any case) is rejected, since the vocabulary reserves those surfaces.
     """
     if fmt not in ("tsv", "jsonl"):
         raise ParameterError(f"unknown corpus format {fmt!r}")
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_user_text(path)
     pairs: list[tuple[list[str], list[str]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -210,6 +227,9 @@ def load_corpus(
         target = tokenize(target_text)
         if not source or not target:
             raise FormatError(f"{path}: line {lineno}: empty source or target field")
+        if not (_RESERVED_SET.isdisjoint(source) and _RESERVED_SET.isdisjoint(target)):
+            marker = next(w for w in source + target if w in _RESERVED_SET)
+            raise FormatError(f"{path}: line {lineno}: reserved marker {marker!r} in corpus text")
         pairs.append((source, target))
     if not pairs:
         raise FormatError(f"{path}: corpus file contains no pairs")

@@ -1,9 +1,10 @@
 """Exact operation counters and bound checks for the three decoders.
 
 Counters record candidate expansions (hypothesis x vocabulary-token scoring
-events), per-step sort sizes, pairwise similarity evaluations and reverse
-re-scoring passes, so the advertised complexity bounds can be checked on
-real runs instead of asymptotic timing.
+events), per-step sort sizes, cross-beam pairs considered, exact
+dissimilarity evaluations among them and reverse re-scoring passes, so the
+advertised complexity bounds can be checked on real runs instead of
+asymptotic timing.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ class ComplexityReport:
     expansions: int = 0
     sort_events: list[tuple[int, int]] = field(default_factory=list)
     pairwise_sim_evals: int = 0
+    exact_sim_evals: int = 0
     rescoring_evals: int = 0
     wall_time: float = 0.0
 
@@ -41,8 +43,8 @@ def check_bounds(report: ComplexityReport, b: int, v: int, t: int) -> BoundsResu
     vbs/bidis: expansions <= T*B*V and every sort handles <= B*V candidates;
     bidis additionally re-scores each of the B candidates exactly once.
     bidia: expansions <= 2*T*(B/2)*V over its two half-beam searches, each
-    sort handles <= (B/2)*V candidates, and exactly (B/2)^2 pairwise
-    similarity evaluations are performed.
+    sort handles <= (B/2)*V candidates, exactly (B/2)^2 cross-beam pairs are
+    considered and between 1 and (B/2)^2 of them are evaluated exactly.
     """
     failures: list[str] = []
 
@@ -79,6 +81,10 @@ def check_bounds(report: ComplexityReport, b: int, v: int, t: int) -> BoundsResu
         require(
             report.pairwise_sim_evals == half * half,
             f"pairwise_sim_evals {report.pairwise_sim_evals} != (B/2)^2 = {half * half}",
+        )
+        require(
+            1 <= report.exact_sim_evals <= half * half,
+            f"exact_sim_evals {report.exact_sim_evals} outside [1, (B/2)^2 = {half * half}]",
         )
     else:
         failures.append(f"unknown algorithm {report.algorithm!r}")

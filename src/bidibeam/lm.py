@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID, SEP_ID, SentencePair, Vocabulary, reverse_target
+from .corpus import BOS_ID, EOS_ID, SEP_ID, SentencePair, Vocabulary, read_user_text, reverse_target
 from .errors import (
     DirectionError,
     FormatError,
@@ -211,11 +211,9 @@ class ConditionalNGramLM(LanguageModel):
         """Read a model written by ``save``; any schema fault is a FormatError
         that names the file and the key."""
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            payload = json.loads(read_user_text(path))
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not a valid model file ({exc.msg})") from None
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: not a valid model file (not UTF-8)") from None
         if not isinstance(payload, dict) or payload.get("format_version") != MODEL_FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported model format version")
         for key, kind, valid in _MODEL_KEYS:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, read_user_text
 from .errors import DegeneratePairError, FormatError, ParameterError
 
 log = logging.getLogger(__name__)
@@ -148,6 +148,8 @@ class EmbeddingTable:
         dims = {v.shape for v in vectors.values()}
         if len(dims) != 1:
             raise ParameterError("all embedding vectors must share one dimension")
+        if not all(np.isfinite(v).all() for v in vectors.values()):
+            raise ParameterError("embedding vectors must be finite")
         self._vectors = vectors
         self.dimension = next(iter(vectors.values())).shape[0]
 
@@ -168,7 +170,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     "word v1 ... vd" line per word.  Duplicate words keep the first entry."""
     vectors: dict[str, np.ndarray] = {}
     dimension: Optional[int] = None
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_user_text(path).splitlines()
     start = 0
     if lines:
         head = lines[0].split()
@@ -187,6 +189,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             values = np.array([float(x) for x in raw_values])
         except ValueError:
             raise FormatError(f"{path}: line {lineno}: unparsable vector component")
+        if not np.isfinite(values).all():
+            raise FormatError(f"{path}: line {lineno}: non-finite vector component")
         if dimension is None:
             dimension = len(values)
             if dimension == 0:
@@ -206,7 +210,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One word per line; blank lines ignored, entries lowercased to match
     the tokenizer's casing."""
-    words = Path(path).read_text(encoding="utf-8").split()
+    words = read_user_text(path).split()
     return frozenset(w.lower() for w in words)
 
 
@@ -276,17 +280,14 @@ def _bag_of_words(words: Sequence[str]) -> tuple[list[str], np.ndarray]:
     return unique, weights / weights.sum()
 
 
-def wmd(
+def _transport_problem(
     x: Sequence[str],
     y: Sequence[str],
     table: EmbeddingTable,
-    stopwords: frozenset[str] = frozenset(),
-) -> float:
-    """Word Mover's Distance between two sentences.
-
-    Stopwords and words without embeddings are dropped first; if either side
-    becomes empty the pair is degenerate and cannot be compared.
-    """
+    stopwords: frozenset[str],
+) -> TransportProblem:
+    """Filter stopwords and words without embeddings, then build the
+    bag-of-words marginals and the Euclidean cost matrix of the pair."""
     kept_x = [w for w in x if w not in stopwords and w in table]
     kept_y = [w for w in y if w not in stopwords and w in table]
     dropped = (len(x) - len(kept_x)) + (len(y) - len(kept_y))
@@ -300,8 +301,31 @@ def wmd(
     points_y = np.stack([table.vector(w) for w in words_y])
     deltas = points_x[:, None, :] - points_y[None, :, :]
     cost = np.sqrt((deltas**2).sum(axis=2))
-    _, total = solve_transport(TransportProblem(supply, demand, cost))
+    return TransportProblem(supply, demand, cost)
+
+
+def wmd(
+    x: Sequence[str],
+    y: Sequence[str],
+    table: EmbeddingTable,
+    stopwords: frozenset[str] = frozenset(),
+) -> float:
+    """Word Mover's Distance between two sentences.
+
+    Stopwords and words without embeddings are dropped first; if either side
+    becomes empty the pair is degenerate and cannot be compared.
+    """
+    _, total = solve_transport(_transport_problem(x, y, table, stopwords))
     return total
+
+
+def _relaxed_wmd(problem: TransportProblem) -> float:
+    """The relaxed WMD lower bound of Kusner et al. (2015): the larger of the
+    two costs obtained by dropping one marginal constraint, each word then
+    moving all its mass to its nearest word on the other side."""
+    to_y = float(problem.supply @ problem.cost.min(axis=1))
+    to_x = float(problem.demand @ problem.cost.min(axis=0))
+    return max(to_y, to_x)
 
 
 def _as_words(tokens: Sequence, spec: SimilaritySpec) -> list[str]:
@@ -310,6 +334,11 @@ def _as_words(tokens: Sequence, spec: SimilaritySpec) -> list[str]:
     if spec.vocab is None:
         raise ParameterError("mapping token ids to words requires a vocabulary")
     return spec.vocab.decode(tokens)
+
+
+def _scale_by_brevity(cost: float, candidate_length: int, spec: SimilaritySpec) -> float:
+    penalty = bp_t(candidate_length, spec.max_length)
+    return cost / penalty if spec.bp_mode == BP_DIVIDE else cost * penalty
 
 
 def dissimilarity(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec) -> float:
@@ -330,5 +359,25 @@ def dissimilarity(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec) -> float:
                    spec.embeddings, spec.stopwords)
     except DegeneratePairError:
         return math.inf
-    penalty = bp_t(len(y_n), spec.max_length)
-    return cost / penalty if spec.bp_mode == BP_DIVIDE else cost * penalty
+    return _scale_by_brevity(cost, len(y_n), spec)
+
+
+def dissimilarity_lower_bound(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec) -> float:
+    """A cheap lower bound on ``dissimilarity(y_n, y_r, spec)`` that solves no LP.
+
+    Degenerate pairs get +inf, which ``dissimilarity`` returns exactly;
+    bleu_t gets the trivial bound 0; wmd_t gets the relaxed WMD scaled by
+    the same brevity penalty.  Float rounding may put the bound a few ulps
+    above the exact value where the two agree mathematically, so callers
+    that prune on it must allow a small margin.
+    """
+    if not y_n or not y_r:
+        return math.inf
+    if spec.kind == BLEU_T:
+        return 0.0
+    try:
+        problem = _transport_problem(_as_words(y_n, spec), _as_words(y_r, spec),
+                                     spec.embeddings, spec.stopwords)
+    except DegeneratePairError:
+        return math.inf
+    return _scale_by_brevity(_relaxed_wmd(problem), len(y_n), spec)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from bidibeam.corpus import RESERVED, Vocabulary
 from bidibeam.lm import REGULAR, LanguageModel
+from bidibeam.similarity import BP_DIVIDE, BP_MULTIPLY, WMD_T, EmbeddingTable, SimilaritySpec
 
 
 def dummy_vocab(size: int) -> Vocabulary:
@@ -87,6 +89,35 @@ class NoEosLM(LanguageModel):
         probs = np.full(v, (1.0 - 1e-12) / (v - 1))
         probs[1] = 1e-12
         return np.log(probs)
+
+
+@st.composite
+def wmd_measures(draw, vocab: Vocabulary) -> SimilaritySpec:
+    """WMD measures over ``vocab`` built to produce exact ties.
+
+    Content words share vectors from a pool of at most three points on a
+    small integer grid (so distinct words can sit at distance 0 and many
+    distances coincide), some words have no vector, and the stopword list
+    ranges up to every content word, which makes every pair degenerate.
+    """
+    words = [vocab.surface_for(i) for i in range(len(RESERVED), vocab.size)]
+    point = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    pool = draw(st.lists(point, min_size=1, max_size=3))
+    vectors = {}
+    for word in words:
+        slot = draw(st.integers(-1, len(pool) - 1))
+        if slot >= 0:
+            vectors[word] = np.array(pool[slot], dtype=float)
+    vectors.setdefault(words[0], np.array(pool[0], dtype=float))
+    stopwords = draw(st.one_of(st.just(frozenset(words)), st.frozensets(st.sampled_from(words))))
+    return SimilaritySpec(
+        WMD_T,
+        max_length=draw(st.integers(1, 6)),
+        bp_mode=draw(st.sampled_from((BP_DIVIDE, BP_MULTIPLY))),
+        embeddings=EmbeddingTable(vectors),
+        stopwords=stopwords,
+        vocab=vocab,
+    )
 
 
 @pytest.fixture

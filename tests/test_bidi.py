@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bidibeam.beam import Hypothesis, SearchParams, vbs_decode
 from bidibeam.bidi import (
     AgreementPair,
     BidiSParams,
+    agreement_argmin,
     bidia_decode,
     bidis_decode,
     rank_by_combined_score,
@@ -24,9 +27,16 @@ from bidibeam.lm import (
     LanguageModel,
     reverse_sequence_logprob,
 )
-from bidibeam.similarity import BLEU_T, WMD_T, EmbeddingTable, SimilaritySpec
+from bidibeam.similarity import (
+    BLEU_T,
+    WMD_T,
+    EmbeddingTable,
+    SimilaritySpec,
+    dissimilarity,
+    dissimilarity_lower_bound,
+)
 
-from conftest import RandomTableLM, dummy_vocab
+from conftest import RandomTableLM, dummy_vocab, wmd_measures
 from oracles import (
     naive_agreement_argmin,
     oracle_dissimilarity_bleu,
@@ -346,3 +356,96 @@ class TestBidiaDecode:
             if hyp.finished:
                 score = reverse_sequence_logprob(reverse, (4,), hyp.core())
                 assert score == hyp.logprob
+
+
+def naive_over_library(regular_cores, reverse_cores, scores, spec):
+    return naive_agreement_argmin(
+        regular_cores, reverse_cores, scores,
+        lambda a, b: dissimilarity(a, b, spec))
+
+
+CORES = st.lists(st.integers(3, 8), max_size=4).map(tuple)
+HALF_BEAMS = st.lists(CORES, min_size=1, max_size=4)
+
+
+class TestAgreementArgmin:
+    """The pruned scan must select exactly what the all-pairs scan selects."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_naive_scan(self, data):
+        vocab = dummy_vocab(9)
+        spec = data.draw(st.one_of(
+            wmd_measures(vocab),
+            st.builds(SimilaritySpec, st.just(BLEU_T), st.integers(1, 6))))
+        regular = data.draw(HALF_BEAMS)
+        reverse = regular if data.draw(st.booleans()) else data.draw(HALF_BEAMS)
+        scores = data.draw(st.lists(st.sampled_from([0.0, -0.5, -1.0, -math.inf]),
+                                    min_size=len(regular), max_size=len(regular)))
+        i, j, d, exact = agreement_argmin(regular, reverse, scores, spec)
+        assert (i, j, d) == naive_over_library(regular, reverse, scores, spec)
+        assert 1 <= exact <= len(regular) * len(reverse)
+
+    def test_tie_with_a_larger_bound_is_still_visited(self):
+        # Pair (1, 1) has WMD 2.5 but relaxed bound 2, so it is visited
+        # first; pair (0, 0) ties it at 2.5 with a bound of exactly 2.5 and
+        # wins on the higher regular score.  A scan that prunes on
+        # bound >= best would drop the winner.
+        vocab = dummy_vocab(9)
+        points = {"w4": 100.0, "w5": 102.5, "w6": 0.0, "w7": 1.0, "w8": 5.0}
+        table = EmbeddingTable({w: np.array([x, 0.0]) for w, x in points.items()})
+        spec = SimilaritySpec(WMD_T, max_length=1, embeddings=table, vocab=vocab)
+        regular = [(4,), (6, 7)]
+        reverse = [(5,), (7, 8)]
+        assert dissimilarity((4,), (5,), spec) == dissimilarity((6, 7), (7, 8), spec) == 2.5
+        i, j, d, exact = agreement_argmin(regular, reverse, [-1.0, -2.0], spec)
+        assert (i, j, d) == (0, 0, 2.5)
+        assert exact == 2
+
+    def test_bound_one_ulp_above_a_tie_is_still_visited(self):
+        # Mathematically the relaxed bound of three words against one equals
+        # their WMD; in floats it lands one ulp above it here.  Pair (1, 1)
+        # is a single-word pair placed at exactly that WMD, so it is visited
+        # first and ties pair (0, 0), which wins on the higher regular score.
+        vocab = dummy_vocab(10)
+        points = {"w4": [-0.1, 0.0], "w5": [0.5, 0.9], "w6": [-0.9, -0.7],
+                  "w7": [0.6, 0.9], "w8": [0.0, 50.0]}
+        tie = dissimilarity((4, 5, 6), (7,), SimilaritySpec(
+            WMD_T, max_length=1, vocab=vocab,
+            embeddings=EmbeddingTable({w: np.array(x) for w, x in points.items()})))
+        points["w9"] = [tie, 50.0]
+        table = EmbeddingTable({w: np.array(x) for w, x in points.items()})
+        spec = SimilaritySpec(WMD_T, max_length=1, embeddings=table, vocab=vocab)
+        regular = [(4, 5, 6), (8,)]
+        reverse = [(7,), (9,)]
+        assert dissimilarity_lower_bound((4, 5, 6), (7,), spec) > tie
+        assert dissimilarity((8,), (9,), spec) == tie
+        i, j, d, _ = agreement_argmin(regular, reverse, [-1.0, -2.0], spec)
+        assert (i, j, d) == (0, 0, tie)
+
+    def test_all_degenerate_pairs_fall_back_to_the_score_order(self):
+        vocab = dummy_vocab(6)
+        table = EmbeddingTable({"w4": np.zeros(2), "w5": np.ones(2)})
+        spec = SimilaritySpec(WMD_T, max_length=3, embeddings=table,
+                              stopwords=frozenset({"w4", "w5"}), vocab=vocab)
+        i, j, d, exact = agreement_argmin([(4,), (5,)], [(5,), (4, 5)],
+                                          [-2.0, -1.0], spec)
+        assert (i, j, d) == (1, 0, math.inf)
+        assert exact == 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(0, 10 ** 6), st.sampled_from([2, 4, 6, 8]))
+    def test_bidia_decode_equals_naive_scan(self, data, seed, b):
+        vocab = dummy_vocab(9)
+        spec = data.draw(wmd_measures(vocab))
+        regular = RandomTableLM(vocab, seed, direction=REGULAR)
+        reverse = RandomTableLM(vocab, seed + 1, direction=REVERSE)
+        out = bidia_decode(regular, reverse, (4, 5), SearchParams(b, 5), spec)
+        i, j, d = naive_over_library([h.core() for h in out.beam],
+                                     [h.core() for h in out.reverse_beam],
+                                     out.scores, spec)
+        assert out.selected_index - 1 == i
+        assert out.agreement.reverse_hypothesis_regular_order == out.reverse_beam[j]
+        assert out.agreement.dissimilarity == d
+        assert out.report.pairwise_sim_evals == (b // 2) ** 2
+        assert 1 <= out.report.exact_sim_evals <= (b // 2) ** 2

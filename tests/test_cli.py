@@ -152,6 +152,12 @@ class TestConfigFile:
         assert main(["train", "--config", str(config)]) == 1
         assert "unknown config keys: bogus" in capsys.readouterr().err
 
+    def test_jobs_key_is_gone(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("jobs = 2\n", encoding="utf-8")
+        assert main(["train", "--config", str(config)]) == 1
+        assert "unknown config keys: jobs" in capsys.readouterr().err
+
     def test_missing_config_file_rejected(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "cannot read config file" in capsys.readouterr().err
@@ -249,6 +255,69 @@ class TestModelFileFaults:
         err = capsys.readouterr().err
         assert "lm_regular.json" in err
         assert f"key {key!r}" in err
+
+
+def spoil(path):
+    """Put a byte that is never valid UTF-8 at the start of line 2."""
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(first + b"\n\xff" + rest)
+    return path
+
+
+def bad_corpus(workspace, run, tmp_path):
+    path = tmp_path / "bad_corpus.tsv"
+    path.write_bytes(workspace.corpus.read_bytes())
+    return ["train", "--corpus", str(spoil(path)), "--out", str(tmp_path / "other")]
+
+
+def bad_run_file(name):
+    def setup(workspace, run, tmp_path):
+        spoil(run / name)
+        return ["decode", "--corpus", str(workspace.corpus), *BASE_FLAGS, "--out", str(run)]
+    return setup
+
+
+def bad_wmd_resource(flag):
+    def setup(workspace, run, tmp_path):
+        path = tmp_path / f"bad_{flag}.txt"
+        path.write_bytes(workspace.embeddings.read_bytes() if flag == "embeddings" else b"the\nof\n")
+        spoil(path)
+        embeddings = path if flag == "embeddings" else workspace.embeddings
+        stopwords = ["--stopwords", str(path)] if flag == "stopwords" else []
+        return ["decode", "--corpus", str(workspace.corpus), *BASE_FLAGS, "--algorithm",
+                "bidia-wmd", "--embeddings", str(embeddings), *stopwords, "--out", str(run)]
+    return setup
+
+
+def bad_config(workspace, run, tmp_path):
+    path = tmp_path / "bad_run.cfg"
+    path.write_bytes(b"seed = 1\nk = 0.1\n")
+    return ["train", "--config", str(spoil(path)), "--corpus", str(workspace.corpus),
+            "--out", str(tmp_path / "other")]
+
+
+def bad_beams(workspace, run, tmp_path):
+    assert decode_into(workspace, run, "--save-beams") == 0
+    spoil(run / "beams_vbs_nb4.jsonl")
+    return ["analyze", "--corpus", str(workspace.corpus), *BASE_FLAGS, "--out", str(run)]
+
+
+@pytest.mark.parametrize("setup, name", [
+    (bad_corpus, "bad_corpus.tsv"),
+    (bad_run_file("vocab.txt"), "vocab.txt"),
+    (bad_run_file("lm_reverse.json"), "lm_reverse.json"),
+    (bad_wmd_resource("embeddings"), "bad_embeddings.txt"),
+    (bad_wmd_resource("stopwords"), "bad_stopwords.txt"),
+    (bad_config, "bad_run.cfg"),
+    (bad_beams, "beams_vbs_nb4.jsonl"),
+], ids=["corpus", "vocabulary", "model", "embeddings", "stopwords", "config", "beams"])
+def test_non_utf8_user_file_is_named(workspace, trained, tmp_path, capsys, setup, name):
+    argv = setup(workspace, trained, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{name}: line 2: not valid UTF-8 (byte 0xff)" in err
+    assert "runtime error" not in err
 
 
 @pytest.fixture(scope="module")

@@ -216,6 +216,22 @@ class TestLoadCorpus:
         with pytest.raises(ParameterError):
             load_corpus(path, "csv")
 
+    @pytest.mark.parametrize("marker", RESERVED)
+    def test_reserved_marker_reports_file_line_and_marker(self, tmp_path, marker):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(f"a\tb\nhi\tsee you {marker.upper()} soon\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            load_corpus(path, "tsv")
+        assert str(info.value) == (
+            f"{path}: line 2: reserved marker {marker!r} in corpus text")
+
+    def test_non_utf8_reports_file_and_line(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(b"a\tb\nc\t\xffd\n")
+        with pytest.raises(FormatError) as info:
+            load_corpus(path, "tsv")
+        assert str(info.value) == f"{path}: line 2: not valid UTF-8 (byte 0xff)"
+
 
 class TestSplitCorpus:
     def test_deterministic_for_a_seed(self):

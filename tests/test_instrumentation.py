@@ -65,10 +65,20 @@ class TestCheckBounds:
 
     def test_bidia_half_beam_bounds(self):
         report = ComplexityReport("bidia", expansions=2 * 5 * 2 * 6,
-                                  sort_events=[(3, 12)], pairwise_sim_evals=4)
+                                  sort_events=[(3, 12)], pairwise_sim_evals=4,
+                                  exact_sim_evals=4)
         assert bool(check_bounds(report, b=4, v=6, t=5))
         report.sort_events.append((4, 13))
         assert not check_bounds(report, b=4, v=6, t=5)
+
+    @pytest.mark.parametrize("exact", [0, 5])
+    def test_bidia_exact_evals_within_one_and_pairs(self, exact):
+        report = ComplexityReport("bidia", expansions=10,
+                                  pairwise_sim_evals=4, exact_sim_evals=exact)
+        result = check_bounds(report, b=4, v=6, t=5)
+        assert not result
+        assert result.failures == [
+            f"exact_sim_evals {exact} outside [1, (B/2)^2 = 4]"]
 
     def test_unknown_algorithm_fails(self):
         result = check_bounds(ComplexityReport("greedy"), 4, 6, 5)

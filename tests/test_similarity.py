@@ -19,6 +19,7 @@ from bidibeam.similarity import (
     bp_t,
     default_stopwords,
     dissimilarity,
+    dissimilarity_lower_bound,
     load_embeddings,
     load_stopwords,
     smoothed_precisions,
@@ -26,7 +27,7 @@ from bidibeam.similarity import (
     wmd,
 )
 
-from conftest import dummy_vocab
+from conftest import dummy_vocab, wmd_measures
 from oracles import oracle_bleu_t, vertex_transport_cost
 
 TOKENS = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=8)
@@ -152,6 +153,11 @@ class TestEmbeddingTable:
         with pytest.raises(ParameterError):
             EmbeddingTable({"a": np.zeros(3), "b": np.zeros(2)})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            EmbeddingTable({"a": np.zeros(2), "b": np.array([0.0, bad])})
+
     def test_contains_and_len(self):
         table = EmbeddingTable({"a": np.zeros(3), "b": np.ones(3)})
         assert "a" in table and "c" not in table
@@ -184,6 +190,13 @@ class TestLoadEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("cat 1.0 oops 3.0\n", encoding="utf-8")
         with pytest.raises(FormatError):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_component_names_line(self, tmp_path, bad):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"cat 1.0 2.0\ndog 1.0 {bad}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 2: non-finite"):
             load_embeddings(path)
 
     def test_duplicate_word_keeps_first(self, tmp_path):
@@ -427,3 +440,53 @@ class TestDissimilarity:
     @given(TOKENS, TOKENS)
     def test_bleu_dissimilarity_in_unit_interval(self, a, b):
         assert 0.0 <= dissimilarity(a, b, spec_bleu(8)) <= 1.0
+
+
+# The margin agreement decoding allows when pruning on the lower bound.
+def within_margin(bound, d):
+    return bound <= d * (1 + 1e-9) + 1e-12
+
+
+class TestDissimilarityLowerBound:
+    def test_degenerate_pairs_are_infinite(self, toy_table):
+        spec = SimilaritySpec(WMD_T, max_length=4, embeddings=toy_table,
+                              stopwords=frozenset({"the"}))
+        assert dissimilarity_lower_bound([], ["a"], spec) == math.inf
+        assert dissimilarity_lower_bound(["a"], [], spec_bleu(4)) == math.inf
+        assert dissimilarity_lower_bound(["the"], ["a"], spec) == math.inf
+        assert dissimilarity_lower_bound(["zebra"], ["a"], spec) == math.inf
+
+    def test_bleu_bound_is_zero(self):
+        assert dissimilarity_lower_bound(["a", "b"], ["c"], spec_bleu(4)) == 0.0
+
+    def test_relaxed_wmd_hand_value(self):
+        # x = {0, 1} and y = {1, 5} on a line: WMD = 2.5, while the relaxed
+        # bound is max((1 + 0) / 2, (0 + 4) / 2) = 2.
+        table = EmbeddingTable({w: np.array([float(w[1:])])
+                                for w in ["p0", "p1", "p5"]})
+        for mode, scale in (("divide", math.e), ("multiply", math.exp(-1.0))):
+            spec = SimilaritySpec(WMD_T, max_length=4, embeddings=table,
+                                  bp_mode=mode)
+            x, y = ["p0", "p1"], ["p1", "p5"]
+            assert dissimilarity_lower_bound(x, y, spec) == pytest.approx(
+                2.0 * scale, rel=1e-12)
+            assert dissimilarity(x, y, spec) == pytest.approx(
+                2.5 * scale, rel=1e-12)
+
+    def test_singletons_meet_the_exact_value(self, toy_table):
+        spec = SimilaritySpec(WMD_T, max_length=4, embeddings=toy_table)
+        bound = dissimilarity_lower_bound(["a", "a"], ["b"], spec)
+        assert bound == pytest.approx(dissimilarity(["a", "a"], ["b"], spec),
+                                      rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_never_above_dissimilarity_beyond_margin(self, data):
+        vocab = dummy_vocab(9)
+        spec = data.draw(wmd_measures(vocab))
+        core = st.lists(st.integers(3, 8), max_size=5).map(tuple)
+        y_n, y_r = data.draw(core), data.draw(core)
+        d = dissimilarity(y_n, y_r, spec)
+        bound = dissimilarity_lower_bound(y_n, y_r, spec)
+        assert within_margin(bound, d)
+        assert math.isinf(bound) == math.isinf(d)

@@ -15,7 +15,6 @@ rank, token id).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -105,7 +104,10 @@ def _ranked(
 
 
 def vbs_decode(
-    model: LanguageModel, source: Sequence[int], params: SearchParams
+    model: LanguageModel,
+    source: Sequence[int],
+    params: SearchParams,
+    searches: dict | None = None,
 ) -> DecodeOutput:
     """Vanilla beam search over the model's next-token distributions.
 
@@ -125,13 +127,31 @@ def vbs_decode(
     the same length, so this is the lexicographic token order of the
     children.  Only the first k become Hypothesis objects; ``sort_events``
     still records the n * V pool.
+
+    ``searches``, when given, is a memo shared by the decodes of one run.
+    It maps (model, source, params) to the search's ``DecodeOutput``: a
+    search made before is returned as the stored object, not repeated.
+    Searches are pure, and the model in the key hashes by identity, which
+    also fixes the direction.
     """
+    if searches is None:
+        return _search(model, source, params)
+    key = (model, tuple(source), params)
+    output = searches.get(key)
+    if output is None:
+        output = searches[key] = _search(model, source, params)
+    return output
+
+
+def _search(
+    model: LanguageModel, source: Sequence[int], params: SearchParams
+) -> DecodeOutput:
+    """One beam search without the memo; see ``vbs_decode``."""
     v = model.vocab.size
     if v < 2:
         raise ParameterError("cannot decode with a vocabulary of fewer than 2 tokens")
     b, t, alpha = params.beam_size, params.max_length, params.alpha
     report = ComplexityReport(algorithm="vbs")
-    started = time.perf_counter()
 
     alive: list[Hypothesis] = [Hypothesis((), 0.0, False)]
     finished: list[Hypothesis] = []
@@ -173,7 +193,6 @@ def vbs_decode(
     if len(beam_set) < b:
         beam_set.extend(alive[: b - len(beam_set)])
     ranked = _ranked(beam_set, alpha)
-    report.wall_time = time.perf_counter() - started
     return DecodeOutput(
         selected=ranked[0][1],
         beam=tuple(h for _, h in ranked),

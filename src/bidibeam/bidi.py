@@ -3,13 +3,13 @@
 Both decoders combine a left-to-right (regular) and a right-to-left
 (reverse) model.  Re-scoring decodes a beam with the regular model and
 re-ranks it by a weighted sum of the normalized log-probabilities under
-both directions.  Agreement decodes half-size beams under each model and
-outputs the regular-side member of the most similar cross-beam pair.
+both directions, with the reverse weight selected on validation data.
+Agreement decodes half-size beams under each model and outputs the
+regular-side member of the most similar cross-beam pair.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,8 +20,9 @@ from .beam import (
     length_penalty,
     vbs_decode,
 )
-from .corpus import EOS_ID
+from .corpus import EOS_ID, SentencePair
 from .errors import DirectionError, ParameterError, VocabularyMismatchError
+from .evaluation import BleuAccumulator
 from .instrumentation import ComplexityReport
 from .lm import LanguageModel, reverse_sequence_logprob
 from .similarity import SimilaritySpec, dissimilarity, dissimilarity_lower_bound
@@ -106,21 +107,21 @@ def bidis_decode(
     reverse: LanguageModel,
     source: Sequence[int],
     params: BidiSParams,
+    searches: dict | None = None,
 ) -> DecodeOutput:
     """Decode with the regular model, then re-rank by both directions.
 
     ``selected_index`` reports the winning candidate's original rank in the
-    regular beam, which is what rank analysis histograms.
+    regular beam, which is what rank analysis histograms.  ``searches`` is
+    the search memo of ``vbs_decode``.
     """
     _check_directions(regular, reverse)
-    started = time.perf_counter()
-    base = vbs_decode(regular, source, params.search)
+    base = vbs_decode(regular, source, params.search, searches)
     terms = rescore_terms(base.beam, reverse, source, params.search.alpha)
     order = rank_by_combined_score(base.beam, terms, params.reverse_weight)
     report = ComplexityReport(algorithm="bidis")
     report.merge_search(base.report)
     report.rescoring_evals = len(base.beam)
-    report.wall_time = time.perf_counter() - started
     best_index = order[0][0]
     return DecodeOutput(
         selected=base.beam[best_index],
@@ -130,6 +131,47 @@ def bidis_decode(
         scores=tuple(score for _, score in order),
         report=report,
     )
+
+
+def select_lambda(
+    regular: LanguageModel,
+    reverse: LanguageModel,
+    validation: Sequence[SentencePair],
+    search: SearchParams,
+    grid: Sequence[float],
+    searches: dict | None = None,
+) -> float:
+    """Pick the reverse-score weight maximizing validation BLEU-4.
+
+    Ties prefer the smallest weight; an empty validation split falls back
+    to the smallest grid value.  A pair's clipped n-gram counts are taken
+    once per beam position some weight selects and merged for each weight;
+    they are integers, so every weight's BLEU is that of its selections
+    scored from scratch.  ``searches`` is the search memo of ``vbs_decode``.
+    """
+    grid = sorted(grid)
+    if not validation:
+        return grid[0]
+    bases = []
+    for pair in validation:
+        base = vbs_decode(regular, pair.source, search, searches)
+        terms = rescore_terms(base.beam, reverse, pair.source, search.alpha)
+        bases.append((pair, base, terms, {}))
+    best_lambda = grid[0]
+    best_bleu = -1.0
+    for lam in grid:
+        total = BleuAccumulator()
+        for pair, base, terms, counts in bases:
+            position = rank_by_combined_score(base.beam, terms, lam)[0][0]
+            if position not in counts:
+                counts[position] = BleuAccumulator()
+                counts[position].add(base.beam[position].core(), pair.target)
+            total.merge(counts[position])
+        bleu = total.score()
+        if bleu > best_bleu:
+            best_bleu = bleu
+            best_lambda = lam
+    return best_lambda
 
 
 def unreverse_hypothesis(hyp: Hypothesis) -> Hypothesis:
@@ -178,6 +220,7 @@ def bidia_decode(
     source: Sequence[int],
     params: SearchParams,
     measure: SimilaritySpec,
+    searches: dict | None = None,
 ) -> DecodeOutput:
     """Agreement decoding over two half-size beams.
 
@@ -185,15 +228,14 @@ def bidia_decode(
     reverse-side hypotheses and outputs the regular-side member of the
     cross-beam pair of least dissimilarity.  Ties prefer the higher regular
     normalized score, then the lower regular index, then the lower reverse
-    index.
+    index.  ``searches`` is the search memo of ``vbs_decode``.
     """
     _check_directions(regular, reverse)
     if params.beam_size % 2 != 0 or params.beam_size < 2:
         raise ParameterError("agreement decoding needs an even beam size >= 2")
-    started = time.perf_counter()
     half = SearchParams(params.beam_size // 2, params.max_length, params.alpha)
-    run_regular = vbs_decode(regular, source, half)
-    run_reverse = vbs_decode(reverse, source, half)
+    run_regular = vbs_decode(regular, source, half, searches)
+    run_reverse = vbs_decode(reverse, source, half, searches)
     unreversed = tuple(unreverse_hypothesis(h) for h in run_reverse.beam)
 
     i0, j0, d0, exact_evals = agreement_argmin(
@@ -208,7 +250,6 @@ def bidia_decode(
     report.merge_search(run_reverse.report)
     report.pairwise_sim_evals = len(run_regular.beam) * len(unreversed)
     report.exact_sim_evals = exact_evals
-    report.wall_time = time.perf_counter() - started
     return DecodeOutput(
         selected=run_regular.beam[i0],
         beam=run_regular.beam,

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from .beam import DecodeOutput, Hypothesis, SearchParams, vbs_decode
-from .bidi import BidiSParams, bidia_decode, bidis_decode, rank_by_combined_score, rescore_terms
+from .bidi import BidiSParams, bidia_decode, bidis_decode, select_lambda
 from .corpus import (
     SentencePair,
     Vocabulary,
@@ -32,7 +32,7 @@ from .corpus import (
 )
 from .errors import BidibeamError, ConfigError
 from .evaluation import best_hypothesis, corpus_bleu4, distinct_n, rank_histogram, word_position_frequency
-from .lm import ConditionalNGramLM, REGULAR, REVERSE, LanguageModel
+from .lm import ConditionalNGramLM, REGULAR, REVERSE
 from .similarity import (
     BLEU_T,
     BP_DIVIDE,
@@ -251,41 +251,6 @@ def _build_measure(cfg: RunConfig, vocab: Vocabulary, kind: str) -> SimilaritySp
     )
 
 
-def select_lambda(
-    regular: LanguageModel,
-    reverse: LanguageModel,
-    validation: Sequence[SentencePair],
-    search: SearchParams,
-    grid: Sequence[float],
-) -> float:
-    """Pick the reverse-score weight maximizing validation BLEU-4.
-
-    Ties prefer the smallest weight; an empty validation split falls back
-    to the smallest grid value.
-    """
-    grid = sorted(grid)
-    if not validation:
-        return grid[0]
-    bases = []
-    for pair in validation:
-        base = vbs_decode(regular, pair.source, search)
-        terms = rescore_terms(base.beam, reverse, pair.source, search.alpha)
-        bases.append((pair, base, terms))
-    best_lambda = grid[0]
-    best_bleu = -1.0
-    for lam in grid:
-        pairs = []
-        for pair, base, terms in bases:
-            order = rank_by_combined_score(base.beam, terms, lam)
-            selected = base.beam[order[0][0]]
-            pairs.append((selected.core(), pair.target))
-        bleu = corpus_bleu4(pairs)
-        if bleu > best_bleu:
-            best_bleu = bleu
-            best_lambda = lam
-    return best_lambda
-
-
 def _decoder(
     algorithm: str,
     regular: ConditionalNGramLM,
@@ -294,17 +259,18 @@ def _decoder(
     search: SearchParams,
     cfg: RunConfig,
     lam: float,
+    searches: dict,
 ) -> Callable[[SentencePair], DecodeOutput]:
     if algorithm == "vbs":
-        return lambda pair: vbs_decode(regular, pair.source, search)
+        return lambda pair: vbs_decode(regular, pair.source, search, searches)
     if algorithm == "bidis":
         params = BidiSParams(search, lam)
-        return lambda pair: bidis_decode(regular, reverse, pair.source, params)
+        return lambda pair: bidis_decode(regular, reverse, pair.source, params, searches)
     kind = BLEU_T if algorithm == "bidia-bleu" else WMD_T
     measure = _build_measure(cfg, vocab, kind)
     if search.beam_size % 2 != 0:
         raise ConfigError("agreement decoding needs an even beam size")
-    return lambda pair: bidia_decode(regular, reverse, pair.source, search, measure)
+    return lambda pair: bidia_decode(regular, reverse, pair.source, search, measure, searches)
 
 
 def _selected_score(output: DecodeOutput) -> float:
@@ -401,13 +367,15 @@ def _decode_split(
     regular: ConditionalNGramLM,
     reverse: ConditionalNGramLM,
     split,
+    searches: dict,
 ) -> tuple[list[SentencePair], list[DecodeOutput], float]:
+    """Decode the test split; ``searches`` is the command's search memo."""
     search = SearchParams(beam_size, cfg.max_length, cfg.alpha)
     lam = 0.0
     if algorithm == "bidis":
         validation = encode_pairs(split.validation, vocab)
-        lam = select_lambda(regular, reverse, validation, search, cfg.lambda_grid)
-    decode = _decoder(algorithm, regular, reverse, vocab, search, cfg, lam)
+        lam = select_lambda(regular, reverse, validation, search, cfg.lambda_grid, searches)
+    decode = _decoder(algorithm, regular, reverse, vocab, search, cfg, lam, searches)
     test_pairs = encode_pairs(split.test, vocab)
     if not test_pairs:
         raise ConfigError("test split is empty; adjust --split")
@@ -420,7 +388,7 @@ def cmd_decode(cfg: RunConfig) -> int:
     vocab, regular, reverse = _load_models(cfg)
     split = _prepare_splits(cfg)
     test_pairs, outputs, lam = _decode_split(
-        cfg, cfg.algorithm, cfg.beam_size, vocab, regular, reverse, split
+        cfg, cfg.algorithm, cfg.beam_size, vocab, regular, reverse, split, {}
     )
     out = Path(cfg.out)
     _write_decodes_csv(out / f"decodes_{cfg.algorithm}.csv", test_pairs, outputs, vocab)
@@ -452,13 +420,18 @@ def cmd_sweep(cfg: RunConfig) -> int:
     split = _prepare_splits(cfg)
     out = Path(cfg.out)
     selected_lambdas: dict[str, float] = {}
+    # One search memo for the whole sweep: bidis re-ranks the vbs beam,
+    # both bidia measures share their half-beam searches, bidia's regular
+    # half is vbs at half the beam size, and a repeated source (validation
+    # or test) is searched once per beam size.
+    searches: dict = {}
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SWEEP_HEADER)
         for nb in cfg.nb_list:
             for algorithm in cfg.algorithms:
                 test_pairs, outputs, lam = _decode_split(
-                    cfg, algorithm, nb, vocab, regular, reverse, split
+                    cfg, algorithm, nb, vocab, regular, reverse, split, searches
                 )
                 if algorithm == "bidis":
                     selected_lambdas[str(nb)] = lam

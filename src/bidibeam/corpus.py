@@ -122,7 +122,10 @@ class Vocabulary:
                     f"{path}: line {lineno}: ids must ascend contiguously from 0"
                 )
             surfaces.append(surface)
-        return cls(surfaces)
+        try:
+            return cls(surfaces)
+        except ParameterError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ class ComplexityReport:
     pairwise_sim_evals: int = 0
     exact_sim_evals: int = 0
     rescoring_evals: int = 0
-    wall_time: float = 0.0
 
     def merge_search(self, other: "ComplexityReport") -> None:
         """Fold a sub-search's counters into this report."""
@@ -97,8 +96,8 @@ CSV_HEADER = (
     "max_sort_candidates",
     "sort_steps",
     "pairwise_sim_evals",
+    "exact_sim_evals",
     "rescoring_evals",
-    "wall_time_s",
 )
 
 
@@ -111,6 +110,6 @@ def report_csv_row(report: ComplexityReport) -> tuple:
         max_sort,
         len(report.sort_events),
         report.pairwise_sim_evals,
+        report.exact_sim_evals,
         report.rescoring_evals,
-        f"{report.wall_time:.6f}",
     )

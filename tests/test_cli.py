@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
+from bidibeam import beam, bidi, cli
 from bidibeam.cli import main
 from bidibeam.synth import (
     corpus_words,
@@ -257,6 +260,25 @@ class TestModelFileFaults:
         assert f"key {key!r}" in err
 
 
+class TestVocabularyFileFaults:
+    """A vocabulary file the constructor rejects exits 1 with the file named."""
+
+    @pytest.mark.parametrize("corrupt, problem", [
+        (lambda surfaces: [], "reserved markers"),
+        (lambda surfaces: [surfaces[1], surfaces[0], *surfaces[2:]], "reserved markers"),
+        (lambda surfaces: [*surfaces, surfaces[-1]], "duplicate surfaces"),
+    ], ids=["empty", "misordered-markers", "duplicate-surface"])
+    def test_decode_names_file(self, workspace, trained, capsys, corrupt, problem):
+        path = trained / "vocab.txt"
+        surfaces = [line.split("\t")[0] for line in path.read_text(encoding="utf-8").splitlines()]
+        path.write_text("".join(f"{s}\t{i}\n" for i, s in enumerate(corrupt(surfaces))),
+                        encoding="utf-8")
+        assert decode_into(workspace, trained, "--algorithm", "vbs") == 1
+        err = capsys.readouterr().err
+        assert "vocab.txt: " in err and problem in err
+        assert "runtime error" not in err
+
+
 def spoil(path):
     """Put a byte that is never valid UTF-8 at the start of line 2."""
     first, rest = path.read_bytes().split(b"\n", 1)
@@ -443,6 +465,67 @@ class TestSweep:
         )
         assert code == 1
         assert "must be even" in capsys.readouterr().err
+
+
+class TestSearchMemo:
+    """One sweep shares its searches across cells; no cell's output changes."""
+
+    def test_sweep_runs_each_distinct_search_once(self, workspace, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert train_into(workspace, out) == 0
+        # Every beam search builds exactly one "vbs" report in the beam module.
+        built = []
+        report_type = beam.ComplexityReport
+
+        def counting_report(*args, **kwargs):
+            built.append(report_type(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(beam, "ComplexityReport", counting_report)
+        calls, runs = Counter(), Counter()
+
+        def recording(decode):
+            def wrapper(model, source, params, *rest):
+                before = len(built)
+                output = decode(model, source, params, *rest)
+                key = (model, tuple(source), params)
+                calls[key] += 1
+                runs[key] += len(built) - before
+                return output
+            return wrapper
+
+        for module in (cli, bidi):
+            monkeypatch.setattr(module, "vbs_decode", recording(module.vbs_decode))
+        code = main(["sweep", "--corpus", str(workspace.corpus), *BASE_FLAGS,
+                     "--algorithms", ",".join(cli.ALGORITHMS), "--nb-list", "2,4,8",
+                     "--embeddings", str(workspace.embeddings), "--out", str(out)])
+        assert code == 0
+        assert sum(calls.values()) > len(calls)
+        assert set(runs.values()) == {1}
+
+    def test_every_cell_equals_a_standalone_decode(self, workspace, tmp_path):
+        out = tmp_path / "sweep"
+        assert train_into(workspace, out) == 0
+        shared = [*BASE_FLAGS, "--lambda-grid", "0.0,0.5,2.0", "--embeddings",
+                  str(workspace.embeddings)]
+        code = main(["sweep", "--corpus", str(workspace.corpus), *shared,
+                     "--algorithms", ",".join(cli.ALGORITHMS), "--nb-list", "2,4",
+                     "--out", str(out)])
+        assert code == 0
+        for algorithm in cli.ALGORITHMS:
+            for nb in (2, 4):
+                alone = tmp_path / f"{algorithm}_{nb}"
+                alone.mkdir()
+                for name in ("vocab.txt", "lm_regular.json", "lm_reverse.json"):
+                    shutil.copy(out / name, alone / name)
+                code = main(["decode", "--corpus", str(workspace.corpus), *shared,
+                             "--algorithm", algorithm, "--B", str(nb), "--save-beams",
+                             "--out", str(alone)])
+                assert code == 0
+                assert ((alone / f"decodes_{algorithm}.csv").read_bytes()
+                        == (out / f"decodes_{algorithm}_nb{nb}.csv").read_bytes())
+                beams = f"beams_{algorithm}_nb{nb}.jsonl"
+                assert (alone / beams).read_bytes() == (out / beams).read_bytes()
 
 
 class TestAnalyze:

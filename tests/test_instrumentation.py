@@ -102,13 +102,14 @@ class TestCheckBounds:
 
 class TestCsvRow:
     def test_row_matches_header_width(self):
-        report = ComplexityReport("vbs", expansions=10,
-                                  sort_events=[(1, 6)], wall_time=0.1234567)
+        report = ComplexityReport("bidia", expansions=10, sort_events=[(1, 6)],
+                                  pairwise_sim_evals=4, exact_sim_evals=3)
         row = report_csv_row(report)
         assert len(row) == len(CSV_HEADER)
-        assert row[0] == "vbs"
+        assert row[0] == "bidia"
         assert row[2] == 6
-        assert row[6] == "0.123457"
+        assert dict(zip(CSV_HEADER, row))["exact_sim_evals"] == 3
+        assert "wall_time_s" not in CSV_HEADER
 
     def test_empty_sort_events(self):
         row = report_csv_row(ComplexityReport("vbs"))

@@ -1,0 +1,127 @@
+"""The search memo: decodes that share one give the outputs of memo-free ones."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bidibeam.beam import SearchParams, vbs_decode
+from bidibeam.bidi import (
+    BidiSParams,
+    bidia_decode,
+    bidis_decode,
+    rank_by_combined_score,
+    rescore_terms,
+    select_lambda,
+)
+from bidibeam.corpus import SentencePair
+from bidibeam.evaluation import corpus_bleu4
+from bidibeam.lm import REGULAR, REVERSE
+from bidibeam.similarity import BLEU_T, SimilaritySpec
+
+from conftest import RandomTableLM, TieLM, dummy_vocab, wmd_measures
+
+MODELS = {"random": RandomTableLM, "ties": TieLM}
+SOURCES = ((4,), (5,), (4, 5))
+
+
+def assert_same_output(memo, fresh):
+    """Every field equal; floats compare by ==, so equal means bit-identical."""
+    assert memo.selected == fresh.selected
+    assert memo.beam == fresh.beam
+    assert memo.scores == fresh.scores
+    assert memo.selected_index == fresh.selected_index
+    assert memo.expansions == fresh.expansions
+    assert memo.report == fresh.report
+    assert memo.reverse_beam == fresh.reverse_beam
+    assert memo.agreement == fresh.agreement
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shared_memo_matches_memo_free_decodes(data):
+    """vbs, bidis and bidia at B and B/2 in any order over repeated sources.
+
+    The memo ends up holding exactly the distinct searches the calls made.
+    """
+    kind = data.draw(st.sampled_from(sorted(MODELS)))
+    seed = data.draw(st.integers(0, 10 ** 6))
+    vocab = dummy_vocab(data.draw(st.integers(5, 7)))
+    regular = MODELS[kind](vocab, seed, direction=REGULAR)
+    reverse = MODELS[kind](vocab, seed + 1, direction=REVERSE)
+    half = data.draw(st.integers(1, 3))
+    t = data.draw(st.integers(1, 5))
+    alpha = data.draw(st.sampled_from([0.0, 0.6, 1.0]))
+    measures = (SimilaritySpec(BLEU_T, max_length=t), data.draw(wmd_measures(vocab)))
+    calls = data.draw(st.lists(
+        st.tuples(st.sampled_from(("vbs", "bidis", "bidia")), st.sampled_from((half, 2 * half)),
+                  st.sampled_from(SOURCES), st.sampled_from(measures),
+                  st.sampled_from([0.0, 0.5, 1.0])),
+        min_size=1, max_size=12))
+
+    searches: dict = {}
+    expected_keys = set()
+    for algorithm, b, source, measure, weight in calls:
+        if algorithm == "bidia":
+            b = 2 * half
+        params = SearchParams(b, t, alpha)
+        if algorithm == "vbs":
+            run = lambda memo: vbs_decode(regular, source, params, memo)
+            expected_keys.add((regular, source, params))
+        elif algorithm == "bidis":
+            run = lambda memo: bidis_decode(regular, reverse, source, BidiSParams(params, weight), memo)
+            expected_keys.add((regular, source, params))
+        else:
+            run = lambda memo: bidia_decode(regular, reverse, source, params, measure, memo)
+            halves = SearchParams(half, t, alpha)
+            expected_keys.update({(regular, source, halves), (reverse, source, halves)})
+        assert_same_output(run(searches), run(None))
+    assert set(searches) == expected_keys
+
+
+def _per_weight_bleu_selection(regular, reverse, validation, search, grid):
+    """Lambda selection as it was: every weight's BLEU from scratch."""
+    bases = []
+    for pair in validation:
+        base = vbs_decode(regular, pair.source, search)
+        bases.append((pair, base, rescore_terms(base.beam, reverse, pair.source, search.alpha)))
+    best_lambda, best_bleu = None, -1.0
+    for lam in sorted(grid):
+        bleu = corpus_bleu4([
+            (base.beam[rank_by_combined_score(base.beam, terms, lam)[0][0]].core(), pair.target)
+            for pair, base, terms in bases
+        ])
+        if bleu > best_bleu:
+            best_lambda, best_bleu = lam, bleu
+    return best_lambda
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(1, 5), st.data())
+def test_select_lambda_matches_per_weight_bleu(seed, b, t, data):
+    """Merged per-position counts pick the weight that scoring every
+    weight's selections from scratch picks, with or without a memo."""
+    vocab = dummy_vocab(7)
+    regular = RandomTableLM(vocab, seed, direction=REGULAR)
+    reverse = RandomTableLM(vocab, seed + 1, direction=REVERSE)
+    search = SearchParams(b, t)
+    validation = []
+    for source in data.draw(st.lists(st.sampled_from(SOURCES), min_size=1, max_size=6)):
+        # A target copied from some beam member (marker ids dropped), so
+        # BLEU differs between weights.
+        beam = vbs_decode(regular, source, search).beam
+        core = beam[data.draw(st.integers(0, len(beam) - 1))].core()
+        target = tuple(token for token in core if token >= 4) or (4,)
+        validation.append(SentencePair(source, target))
+    grid = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 4.0]),
+                              min_size=1, max_size=6, unique=True))
+    expected = _per_weight_bleu_selection(regular, reverse, validation, search, grid)
+    searches: dict = {}
+    assert select_lambda(regular, reverse, validation, search, grid) == expected
+    assert select_lambda(regular, reverse, validation, search, grid, searches) == expected
+    assert set(searches) == {(regular, pair.source, search) for pair in validation}
+
+
+def test_select_lambda_empty_validation_takes_smallest_weight():
+    vocab = dummy_vocab(6)
+    regular = RandomTableLM(vocab, 1, direction=REGULAR)
+    reverse = RandomTableLM(vocab, 2, direction=REVERSE)
+    assert select_lambda(regular, reverse, [], SearchParams(2, 3), [2.0, 0.5, 1.0]) == 0.5

@@ -74,7 +74,6 @@ class DecodeOutput:
     selected: Hypothesis
     beam: tuple[Hypothesis, ...]
     selected_index: int
-    expansions: int
     scores: tuple[float, ...]
     report: ComplexityReport
     reverse_beam: Optional[tuple[Hypothesis, ...]] = None
@@ -197,7 +196,6 @@ def _search(
         selected=ranked[0][1],
         beam=tuple(h for _, h in ranked),
         selected_index=1,
-        expansions=report.expansions,
         scores=tuple(s for s, _ in ranked),
         report=report,
     )

@@ -127,7 +127,6 @@ def bidis_decode(
         selected=base.beam[best_index],
         beam=tuple(base.beam[i] for i, _ in order),
         selected_index=best_index + 1,
-        expansions=base.expansions,
         scores=tuple(score for _, score in order),
         report=report,
     )
@@ -254,7 +253,6 @@ def bidia_decode(
         selected=run_regular.beam[i0],
         beam=run_regular.beam,
         selected_index=i0 + 1,
-        expansions=run_regular.expansions + run_reverse.expansions,
         scores=run_regular.scores,
         report=report,
         reverse_beam=unreversed,

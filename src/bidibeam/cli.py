@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import Field, asdict, dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -55,44 +56,34 @@ WORD_POSITION_HEADER = ("order", "position", "rank", "word", "count")
 _BEAMS_FILE_RE = re.compile(r"beams_(?P<alg>[a-z-]+)_nb(?P<nb>\d+)\.jsonl$")
 
 
-@dataclass
-class RunConfig:
-    """Every knob of a run; file values are overridden by command-line flags."""
+def _number(kind: type, low: float = -math.inf, high: float = math.inf) -> Callable[[str], object]:
+    """A parser for one int or finite float within [low, high]."""
+    what = "an integer" if kind is int else "a finite number"
+    if low > -math.inf:
+        what += f" >= {low}" if high == math.inf else f" in [{low}, {high}]"
 
-    corpus: str | None = None
-    format: str = "tsv"
-    split: tuple[float, float, float] = (0.97, 0.01, 0.02)
-    seed: int = 0
-    order: int = 3
-    weights: tuple[float, ...] = (0.2, 0.3, 0.5)
-    k: float = 0.1
-    min_count: int = 1
-    beam_size: int = 10
-    max_length: int = 20
-    alpha: float = 0.6
-    algorithm: str = "vbs"
-    lambda_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
-    embeddings: str | None = None
-    stopwords: str | None = None
-    bp_mode: str = BP_DIVIDE
-    nb_list: tuple[int, ...] = (2, 4, 8)
-    algorithms: tuple[str, ...] = ALGORITHMS
-    save_beams: bool = False
-    out: str | None = None
+    def parse(text: str) -> object:
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value <= high or abs(value) == math.inf:
+            raise ValueError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+def _list(parse: Callable[[str], object], length: int = 0) -> Callable[[str], tuple]:
+    """A parser for a comma-separated list; ``length`` 0 means any but empty."""
 
+    def parse_list(text: str) -> tuple:
+        values = tuple(parse(part.strip()) for part in text.split(",") if part.strip())
+        if not values or length and len(values) != length:
+            raise ValueError(f"expected {length or 'one or more'} comma-separated values, got {text!r}")
+        return values
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+    return parse_list
 
 
 def _parse_bool(text: str) -> bool:
@@ -101,7 +92,62 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _option(default, help: str, parse=str, choices: tuple = (), key: str | None = None):
+    """A RunConfig field declaring one option; ``key`` only where it is not the name."""
+    return field(
+        default=default, metadata={"help": help, "parse": parse, "choices": choices, "key": key}
+    )
+
+
+@dataclass
+class RunConfig:
+    """Every knob of a run, each declared once: flags win over config-file values.
+
+    A field's metadata holds its help text, its value parser (which also
+    rejects out-of-range values), its allowed values and, where it differs
+    from the field name, its config-file key.  The flag is "--" plus the key
+    with "_" spelled "-".
+    """
+
+    corpus: str | None = _option(None, "parallel corpus file")
+    format: str = _option("tsv", "corpus file format", choices=("tsv", "jsonl"))
+    split: tuple[float, float, float] = _option(
+        (0.97, 0.01, 0.02), "train,validation,test fractions", _list(_number(float), 3)
+    )
+    seed: int = _option(0, "shuffle seed", _number(int))
+    order: int = _option(3, "model n-gram order", _number(int, 1))
+    weights: tuple[float, ...] = _option(
+        (0.2, 0.3, 0.5), "interpolation weights, low to high order", _list(_number(float))
+    )
+    k: float = _option(0.1, "additive smoothing constant", _number(float))
+    min_count: int = _option(1, "vocabulary cutoff", _number(int, 1))
+    beam_size: int = _option(10, "beam size", _number(int, 1), key="B")
+    max_length: int = _option(20, "maximum decode length", _number(int, 1), key="T")
+    alpha: float = _option(0.6, "length penalty exponent", _number(float, 0, 1))
+    algorithm: str = _option("vbs", "decoding algorithm", choices=ALGORITHMS)
+    lambda_grid: tuple[float, ...] = _option(
+        (0.0, 0.25, 0.5, 1.0, 2.0, 4.0), "candidate reverse weights", _list(_number(float, 0))
+    )
+    embeddings: str | None = _option(None, "word embedding text file")
+    stopwords: str | None = _option(None, "stopword list, one word per line")
+    bp_mode: str = _option(
+        BP_DIVIDE, "how WMD combines with the brevity penalty", choices=(BP_DIVIDE, BP_MULTIPLY)
+    )
+    nb_list: tuple[int, ...] = _option((2, 4, 8), "beam sizes to sweep", _list(_number(int, 1)))
+    algorithms: tuple[str, ...] = _option(ALGORITHMS, "algorithms to sweep", _list(str), ALGORITHMS)
+    save_beams: bool = _option(False, "persist full beams for later analysis", _parse_bool)
+    out: str | None = _option(None, "output directory")
+
+
+def _key(option: Field) -> str:
+    return option.metadata["key"] or option.name
+
+
+def _flag(option: Field) -> str:
+    return "--" + _key(option).replace("_", "-")
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -122,85 +168,45 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-_CASTS: dict[str, Callable[[str], object]] = {
-    "corpus": str,
-    "format": str,
-    "split": _parse_floats,
-    "seed": int,
-    "order": int,
-    "weights": _parse_floats,
-    "k": float,
-    "min_count": int,
-    "beam_size": int,
-    "max_length": int,
-    "alpha": float,
-    "algorithm": str,
-    "lambda_grid": _parse_floats,
-    "embeddings": str,
-    "stopwords": str,
-    "bp_mode": str,
-    "nb_list": _parse_ints,
-    "algorithms": lambda text: tuple(p.strip() for p in text.split(",") if p.strip()),
-    "save_beams": _parse_bool,
-    "out": str,
-}
-
-# Config-file spellings that differ from the RunConfig field name.
-_FILE_KEYS = {"beam_size": "B", "max_length": "T"}
+def _parse(option: Field, text: str, source: str) -> object:
+    """One option value from text; ``source`` names the flag or config key."""
+    try:
+        value = option.metadata["parse"](text)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+    choices = option.metadata["choices"]
+    for item in value if isinstance(value, tuple) else (value,):
+        if choices and item not in choices:
+            raise ConfigError(f"{source}: unknown value {item!r}; pick one of {', '.join(choices)}")
+    return value
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config-file values and flags; flags win."""
-    file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    cfg = RunConfig()
-    for name, cast in _CASTS.items():
-        file_key = _FILE_KEYS.get(name, name)
-        if file_key in file_values:
-            try:
-                setattr(cfg, name, cast(file_values[file_key]))
-            except ValueError as exc:
-                raise ConfigError(f"config key {file_key}: {exc}") from None
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            setattr(cfg, name, cast(flag_value) if isinstance(flag_value, str) else flag_value)
-    unknown = set(file_values) - {_FILE_KEYS.get(n, n) for n in _CASTS}
+    path = getattr(args, "config", None)
+    file_values = parse_config_file(path) if path else {}
+    unknown = set(file_values) - {_key(option) for option in fields(RunConfig)}
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    _validate_config(cfg)
+        raise ConfigError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
+    cfg = RunConfig()
+    for option in fields(RunConfig):
+        if _key(option) in file_values:
+            source = f"{path}: config key {_key(option)}"
+            setattr(cfg, option.name, _parse(option, file_values[_key(option)], source))
+        flag_value = getattr(args, option.name, None)
+        if isinstance(flag_value, str):
+            flag_value = _parse(option, flag_value, _flag(option))
+        if flag_value is not None:
+            setattr(cfg, option.name, flag_value)
+    if len(cfg.weights) != cfg.order:
+        raise ConfigError("need exactly one interpolation weight per order")
     return cfg
 
 
-def _validate_config(cfg: RunConfig) -> None:
-    if cfg.format not in ("tsv", "jsonl"):
-        raise ConfigError(f"unknown corpus format {cfg.format!r}")
-    if cfg.algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {cfg.algorithm!r}; pick one of {', '.join(ALGORITHMS)}")
-    for name in cfg.algorithms:
-        if name not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {name!r} in algorithms list")
-    if cfg.bp_mode not in (BP_DIVIDE, BP_MULTIPLY):
-        raise ConfigError(f"unknown bp-mode {cfg.bp_mode!r}")
-    if cfg.beam_size < 1 or cfg.max_length < 1:
-        raise ConfigError("B and T must be >= 1")
-    if not 0.0 <= cfg.alpha <= 1.0:
-        raise ConfigError("alpha must lie in [0, 1]")
-    if cfg.order < 1:
-        raise ConfigError("order must be >= 1")
-    if len(cfg.weights) != cfg.order:
-        raise ConfigError("need exactly one interpolation weight per order")
-    if len(cfg.split) != 3:
-        raise ConfigError("split must be three comma-separated fractions")
-    if any(lam < 0 for lam in cfg.lambda_grid) or not cfg.lambda_grid:
-        raise ConfigError("lambda grid must be non-empty and non-negative")
-    if any(nb < 1 for nb in cfg.nb_list) or not cfg.nb_list:
-        raise ConfigError("beam-size list must be non-empty positive integers")
-
-
 def _require(cfg: RunConfig, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) is None:
-            flag = "--" + _FILE_KEYS.get(name, name).replace("_", "-")
-            raise ConfigError(f"missing required option {flag}")
+    for option in fields(RunConfig):
+        if option.name in names and getattr(cfg, option.name) is None:
+            raise ConfigError(f"missing required option {_flag(option)}")
 
 
 def _write_config(out: Path, command: str, cfg: RunConfig, extra: dict | None = None) -> None:
@@ -251,26 +257,16 @@ def _build_measure(cfg: RunConfig, vocab: Vocabulary, kind: str) -> SimilaritySp
     )
 
 
-def _decoder(
-    algorithm: str,
-    regular: ConditionalNGramLM,
-    reverse: ConditionalNGramLM,
-    vocab: Vocabulary,
-    search: SearchParams,
-    cfg: RunConfig,
-    lam: float,
-    searches: dict,
-) -> Callable[[SentencePair], DecodeOutput]:
-    if algorithm == "vbs":
-        return lambda pair: vbs_decode(regular, pair.source, search, searches)
-    if algorithm == "bidis":
-        params = BidiSParams(search, lam)
-        return lambda pair: bidis_decode(regular, reverse, pair.source, params, searches)
-    kind = BLEU_T if algorithm == "bidia-bleu" else WMD_T
-    measure = _build_measure(cfg, vocab, kind)
-    if search.beam_size % 2 != 0:
-        raise ConfigError("agreement decoding needs an even beam size")
-    return lambda pair: bidia_decode(regular, reverse, pair.source, search, measure, searches)
+def _load_grid(cfg: RunConfig, algorithms: Sequence[str], beam_sizes: Sequence[int]) -> tuple:
+    """Check the algorithm x beam-size grid, then load the models and splits."""
+    _require(cfg, "corpus", "out")
+    if any(a.startswith("bidia") for a in algorithms):
+        for nb in beam_sizes:
+            if nb % 2 != 0:
+                raise ConfigError(
+                    f"beam size {nb} must be even: agreement decoding needs an even beam size"
+                )
+    return _load_models(cfg), _prepare_splits(cfg)
 
 
 def _selected_score(output: DecodeOutput) -> float:
@@ -294,7 +290,7 @@ def _write_decodes_csv(
                     " ".join(vocab.decode(output.selected.core())),
                     output.selected_index,
                     repr(_selected_score(output)),
-                    output.expansions,
+                    output.report.expansions,
                 )
             )
 
@@ -359,65 +355,68 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _decode_split(
+def _decode_cell(
     cfg: RunConfig,
     algorithm: str,
     beam_size: int,
-    vocab: Vocabulary,
-    regular: ConditionalNGramLM,
-    reverse: ConditionalNGramLM,
+    models: tuple[Vocabulary, ConditionalNGramLM, ConditionalNGramLM],
     split,
     searches: dict,
-) -> tuple[list[SentencePair], list[DecodeOutput], float]:
-    """Decode the test split; ``searches`` is the command's search memo."""
+    decodes_name: str,
+    save_beams: bool,
+) -> tuple[float, tuple[float, float, float]]:
+    """Decode the test split as one cell of the grid and write its files.
+
+    bidis first picks its reverse weight on the validation split.  The cell
+    writes ``decodes_name`` and, with ``save_beams``, its beams file;
+    ``searches`` is the command's search memo.  Returns the weight (0.0
+    unless bidis) and the cell's BLEU-4, distinct-1 and distinct-2.
+    """
+    vocab, regular, reverse = models
     search = SearchParams(beam_size, cfg.max_length, cfg.alpha)
     lam = 0.0
-    if algorithm == "bidis":
+    if algorithm == "vbs":
+        decode = lambda pair: vbs_decode(regular, pair.source, search, searches)
+    elif algorithm == "bidis":
         validation = encode_pairs(split.validation, vocab)
         lam = select_lambda(regular, reverse, validation, search, cfg.lambda_grid, searches)
-    decode = _decoder(algorithm, regular, reverse, vocab, search, cfg, lam, searches)
+        params = BidiSParams(search, lam)
+        decode = lambda pair: bidis_decode(regular, reverse, pair.source, params, searches)
+    else:
+        measure = _build_measure(cfg, vocab, BLEU_T if algorithm == "bidia-bleu" else WMD_T)
+        decode = lambda pair: bidia_decode(
+            regular, reverse, pair.source, search, measure, searches
+        )
     test_pairs = encode_pairs(split.test, vocab)
     if not test_pairs:
         raise ConfigError("test split is empty; adjust --split")
     outputs = [decode(pair) for pair in test_pairs]
-    return test_pairs, outputs, lam
+    out = Path(cfg.out)
+    _write_decodes_csv(out / decodes_name, test_pairs, outputs, vocab)
+    if save_beams:
+        _write_beams_jsonl(
+            out / f"beams_{algorithm}_nb{beam_size}.jsonl", test_pairs, outputs, algorithm, beam_size
+        )
+    return lam, _evaluate(test_pairs, outputs)
 
 
 def cmd_decode(cfg: RunConfig) -> int:
-    _require(cfg, "corpus", "out")
-    vocab, regular, reverse = _load_models(cfg)
-    split = _prepare_splits(cfg)
-    test_pairs, outputs, lam = _decode_split(
-        cfg, cfg.algorithm, cfg.beam_size, vocab, regular, reverse, split, {}
+    models, split = _load_grid(cfg, (cfg.algorithm,), (cfg.beam_size,))
+    lam, (bleu, d1, d2) = _decode_cell(
+        cfg, cfg.algorithm, cfg.beam_size, models, split, {},
+        f"decodes_{cfg.algorithm}.csv", cfg.save_beams,
     )
-    out = Path(cfg.out)
-    _write_decodes_csv(out / f"decodes_{cfg.algorithm}.csv", test_pairs, outputs, vocab)
-    if cfg.save_beams:
-        _write_beams_jsonl(
-            out / f"beams_{cfg.algorithm}_nb{cfg.beam_size}.jsonl",
-            test_pairs,
-            outputs,
-            cfg.algorithm,
-            cfg.beam_size,
-        )
     extra = {"lambda_selected": lam} if cfg.algorithm == "bidis" else None
-    _write_config(out, "decode", cfg, extra)
-    bleu, d1, d2 = _evaluate(test_pairs, outputs)
+    _write_config(Path(cfg.out), "decode", cfg, extra)
     print(
-        f"{cfg.algorithm}: decoded {len(test_pairs)} test pairs, "
+        f"{cfg.algorithm}: decoded {len(split.test)} test pairs, "
         f"BLEU-4 {bleu:.3f}, distinct-1 {d1:.3f}, distinct-2 {d2:.3f}"
     )
     return 0
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    _require(cfg, "corpus", "out")
-    if any(a.startswith("bidia") for a in cfg.algorithms):
-        for nb in cfg.nb_list:
-            if nb % 2 != 0:
-                raise ConfigError(f"beam size {nb} must be even when agreement decoding is swept")
-    vocab, regular, reverse = _load_models(cfg)
-    split = _prepare_splits(cfg)
+    models, split = _load_grid(cfg, cfg.algorithms, cfg.nb_list)
     out = Path(cfg.out)
     selected_lambdas: dict[str, float] = {}
     # One search memo for the whole sweep: bidis re-ranks the vbs beam,
@@ -430,33 +429,74 @@ def cmd_sweep(cfg: RunConfig) -> int:
         writer.writerow(SWEEP_HEADER)
         for nb in cfg.nb_list:
             for algorithm in cfg.algorithms:
-                test_pairs, outputs, lam = _decode_split(
-                    cfg, algorithm, nb, vocab, regular, reverse, split, searches
+                lam, (bleu, d1, d2) = _decode_cell(
+                    cfg, algorithm, nb, models, split, searches,
+                    f"decodes_{algorithm}_nb{nb}.csv", True,
                 )
                 if algorithm == "bidis":
                     selected_lambdas[str(nb)] = lam
-                suffix = f"{algorithm}_nb{nb}"
-                _write_decodes_csv(out / f"decodes_{suffix}.csv", test_pairs, outputs, vocab)
-                _write_beams_jsonl(
-                    out / f"beams_{suffix}.jsonl", test_pairs, outputs, algorithm, nb
-                )
-                bleu, d1, d2 = _evaluate(test_pairs, outputs)
                 writer.writerow((algorithm, nb, f"{bleu:.6f}", f"{d1:.6f}", f"{d2:.6f}"))
                 print(f"swept {algorithm} at beam size {nb}: BLEU-4 {bleu:.3f}")
     _write_config(out, "sweep", cfg, {"lambda_selected": selected_lambdas})
     return 0
 
 
-def _load_beam_records(path: Path) -> list[dict]:
+def _load_beam_records(path: Path, vocab_size: int) -> list[SimpleNamespace]:
+    """Read a persisted beam file, checking each record as it is read."""
+    ids = frozenset(range(vocab_size))
     records = []
     for lineno, line in enumerate(read_user_text(path, ConfigError).splitlines(), start=1):
         if not line:
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {lineno}: bad JSON ({exc.msg})") from None
+        records.append(_beam_record(record, ids, f"{path}: line {lineno}"))
+    if not records:
+        raise ConfigError(f"{path}: holds no beam records")
     return records
+
+
+def _beam_record(record: object, ids: frozenset, where: str) -> SimpleNamespace:
+    """The fields analyze reads from one persisted record, type- and range-checked.
+
+    A token is valid when it equals one of ``ids``, the vocabulary's ids.
+    """
+
+    def check(ok: bool, key: str, kind: str) -> None:
+        if not ok:
+            raise ConfigError(f"{where}: key {key!r} must be {kind}")
+
+    def id_list(value: object) -> bool:
+        try:
+            return type(value) is list and ids.issuperset(value)
+        except TypeError:  # an unhashable element, such as a nested list
+            return False
+
+    if type(record) is not dict:
+        raise ConfigError(f"{where}: expected a JSON object")
+    check(type(record.get("algorithm")) is str, "algorithm", "a string")
+    reference = record.get("reference")
+    check(reference and id_list(reference), "reference", "a non-empty list of vocabulary ids")
+    beam = record.get("beam")
+    check(beam and type(beam) is list, "beam", "a non-empty list of objects")
+    hypotheses = []
+    for member in beam:
+        check(type(member) is dict, "beam", "a non-empty list of objects")
+        tokens, logprob, finished = member.get("tokens"), member.get("logprob"), member.get("finished")
+        check(id_list(tokens), "tokens", "a list of vocabulary ids")
+        check(type(logprob) in (int, float), "logprob", "a number")
+        check(type(finished) is bool, "finished", "true or false")
+        hypotheses.append(Hypothesis(tuple(tokens), logprob, finished))
+    index = record.get("selected_index")
+    check(type(index) is int and 1 <= index <= len(beam), "selected_index", "an integer in 1..len(beam)")
+    return SimpleNamespace(
+        algorithm=record["algorithm"],
+        reference=tuple(reference),
+        selected_index=index,
+        beam=tuple(hypotheses),
+    )
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
@@ -476,16 +516,15 @@ def cmd_analyze(cfg: RunConfig) -> int:
     cells = []
     for path in beam_files:
         match = _BEAMS_FILE_RE.match(path.name)
-        cells.append((match.group("alg"), int(match.group("nb")), _load_beam_records(path)))
+        records = _load_beam_records(path, vocab.size)
+        cells.append((match.group("alg"), int(match.group("nb")), records))
     cells.sort(key=lambda cell: (cell[0], cell[1]))
 
     with open(out / "rank_histogram.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(RANK_HEADER)
         for algorithm, nb, records in cells:
-            rank_space = max(len(r["beam"]) for r in records)
-            runs = [SimpleNamespace(selected_index=r["selected_index"]) for r in records]
-            histogram = rank_histogram(runs, rank_space)
+            histogram = rank_histogram(records, max(len(r.beam) for r in records))
             for rank, count in enumerate(histogram.counts, start=1):
                 writer.writerow((algorithm, nb, rank, count))
 
@@ -496,14 +535,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
             algo_pairs = []
             oracle_pairs = []
             for record in records:
-                reference = tuple(record["reference"])
-                beam = tuple(
-                    Hypothesis(tuple(h["tokens"]), h["logprob"], h["finished"])
-                    for h in record["beam"]
-                )
+                beam, reference = record.beam, record.reference
                 selected = beam[0]
-                if record["algorithm"].startswith("bidia"):
-                    selected = beam[record["selected_index"] - 1]
+                if record.algorithm.startswith("bidia"):
+                    selected = beam[record.selected_index - 1]
                 best, _ = best_hypothesis(beam, reference)
                 algo_pairs.append((selected.core(), reference))
                 oracle_pairs.append((best.core(), reference))
@@ -584,26 +619,15 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         command = sub.add_parser(name, help=help_text)
         command.add_argument("--config", help="flat key=value config file; flags win")
-        command.add_argument("--corpus", help="parallel corpus file")
-        command.add_argument("--format", choices=("tsv", "jsonl"), help="corpus file format")
-        command.add_argument("--split", help="train,validation,test fractions")
-        command.add_argument("--seed", type=int, help="shuffle seed")
-        command.add_argument("--order", type=int, help="model n-gram order")
-        command.add_argument("--weights", help="interpolation weights, low to high order")
-        command.add_argument("--k", type=float, help="additive smoothing constant")
-        command.add_argument("--min-count", type=int, dest="min_count", help="vocabulary cutoff")
-        command.add_argument("--B", type=int, dest="beam_size", help="beam size")
-        command.add_argument("--T", type=int, dest="max_length", help="maximum decode length")
-        command.add_argument("--alpha", type=float, help="length penalty exponent")
-        command.add_argument("--algorithm", choices=ALGORITHMS, help="decoding algorithm")
-        command.add_argument("--lambda-grid", dest="lambda_grid", help="candidate reverse weights")
-        command.add_argument("--embeddings", help="word embedding text file")
-        command.add_argument("--stopwords", help="stopword list, one word per line")
-        command.add_argument("--bp-mode", dest="bp_mode", choices=(BP_DIVIDE, BP_MULTIPLY), help="how WMD combines with the brevity penalty")
-        command.add_argument("--nb-list", dest="nb_list", help="beam sizes to sweep")
-        command.add_argument("--algorithms", help="algorithms to sweep")
-        command.add_argument("--save-beams", dest="save_beams", action="store_true", default=None, help="persist full beams for later analysis")
-        command.add_argument("--out", help="output directory")
+        for option in fields(RunConfig):
+            choices = option.metadata["choices"]
+            if option.metadata["parse"] is _parse_bool:
+                kind = {"action": "store_true", "default": None}
+            else:
+                kind = {"metavar": "{" + ",".join(choices) + "}" if choices else None}
+            command.add_argument(
+                _flag(option), dest=option.name, help=option.metadata["help"], **kind
+            )
     return parser
 
 

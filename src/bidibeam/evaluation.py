@@ -78,6 +78,7 @@ def distinct_n(sentences: Sequence[Sequence], n: int) -> float:
 
     The denominator is in words for every n, so values shrink quickly with
     repetitive output and the n=1 case is the classic type/token ratio.
+    Sentences that hold no words at all (every output empty) score 0.0.
     """
     if n < 1:
         raise ParameterError("n-gram order must be >= 1")
@@ -85,7 +86,7 @@ def distinct_n(sentences: Sequence[Sequence], n: int) -> float:
         raise ParameterError("distinct-n needs at least one sentence")
     total_words = sum(len(s) for s in sentences)
     if total_words == 0:
-        raise ParameterError("distinct-n needs at least one word")
+        return 0.0
     grams = set()
     for sentence in sentences:
         for i in range(len(sentence) - n + 1):

@@ -186,7 +186,7 @@ class TestBidisDecode:
         assert sorted(out.beam, key=lambda h: h.tokens) == sorted(
             base.beam, key=lambda h: h.tokens)
         assert list(out.scores) == sorted(out.scores, reverse=True)
-        assert out.expansions == base.expansions
+        assert out.report.expansions == base.report.expansions
         assert out.report.rescoring_evals == len(base.beam)
         assert out.report.algorithm == "bidis"
 
@@ -345,7 +345,7 @@ class TestBidiaDecode:
         b = vbs_decode(reverse, (4,), half)
         out = bidia_decode(regular, reverse, (4,), SearchParams(6, 5),
                            SimilaritySpec(BLEU_T, max_length=5))
-        assert out.expansions == a.expansions + b.expansions
+        assert out.report.expansions == a.report.expansions + b.report.expansions
 
     def test_reverse_members_score_under_reverse_model(self, vocab6):
         regular = RandomTableLM(vocab6, 21, direction=REGULAR)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import shutil
 from collections import Counter
 from types import SimpleNamespace
@@ -183,6 +184,91 @@ class TestConfigFile:
         )
         assert code == 1
         assert "alpha" in capsys.readouterr().err
+
+
+# The 21 flags every command takes and, for each option flag, its config-file
+# key: both are public names that scripts and config files rely on.
+CONFIG_KEYS = {
+    "--corpus": "corpus", "--format": "format", "--split": "split", "--seed": "seed",
+    "--order": "order", "--weights": "weights", "--k": "k", "--min-count": "min_count",
+    "--B": "B", "--T": "T", "--alpha": "alpha", "--algorithm": "algorithm",
+    "--lambda-grid": "lambda_grid", "--embeddings": "embeddings",
+    "--stopwords": "stopwords", "--bp-mode": "bp_mode", "--nb-list": "nb_list",
+    "--algorithms": "algorithms", "--save-beams": "save_beams", "--out": "out",
+}
+FLAGS = {"--config", *CONFIG_KEYS}
+FLAG_OF = {key: flag for flag, key in CONFIG_KEYS.items()}
+
+# One non-default value per option, as it would be typed.
+SAMPLES = {
+    "corpus": "c.tsv", "format": "jsonl", "split": "0.5, 0.25,0.25", "seed": "9",
+    "order": "2", "weights": "0.4,0.6", "k": "0.5", "min_count": "3", "B": "6", "T": "7",
+    "alpha": "1", "algorithm": "bidia-wmd", "lambda_grid": "0,3.5", "embeddings": "v.txt",
+    "stopwords": "s.txt", "bp_mode": "multiply", "nb_list": "2,6", "algorithms": "bidis, vbs",
+    "save_beams": "true", "out": "run",
+}
+
+# Values each option rejects: unparsable, non-finite, out of range or not a choice.
+BAD_VALUES = [
+    ("seed", "x"), ("order", "0"), ("min_count", "1.5"), ("min_count", "0"), ("B", "0"), ("T", "-3"),
+    ("k", "inf"), ("k", "nan"), ("alpha", "1.5"), ("alpha", "-inf"),
+    ("split", "nan,0.1,0.1"), ("split", "0.8,0.2"), ("weights", "nan,0.5,0.5"),
+    ("weights", "0.2,x,0.5"), ("lambda_grid", "nan"), ("lambda_grid", "-1"),
+    ("lambda_grid", ","), ("nb_list", "2,0"), ("format", "csv"), ("algorithm", "beam"),
+    ("algorithms", "vbs,beam"), ("bp_mode", "add"), ("save_beams", "maybe"),
+]
+
+
+def config_of(argv):
+    args = cli.build_parser().parse_args(["train", *argv])
+    return cli.build_config(args)
+
+
+class TestOptions:
+    """Each option is declared once; flags and config keys keep their names."""
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_flags_are_pinned(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out))
+        assert listed == FLAGS | {"--help"}
+
+    def test_help_lists_choices(self, capsys):
+        assert main(["decode", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--format {tsv,jsonl}" in out
+        assert "--algorithm {vbs,bidis,bidia-bleu,bidia-wmd}" in out
+        assert "--bp-mode {divide,multiply}" in out
+
+    @pytest.mark.parametrize("flag", sorted(CONFIG_KEYS))
+    def test_flag_and_config_key_give_the_same_config(self, flag, tmp_path):
+        key = CONFIG_KEYS[flag]
+        config = tmp_path / "run.cfg"
+        # weights and order are checked against each other, so they travel together.
+        pair = {"order": "weights", "weights": "order"}.get(key)
+        lines = [(key, SAMPLES[key])] + ([(pair, SAMPLES[pair])] if pair else [])
+        config.write_text("".join(f"{k} = {v}\n" for k, v in lines), encoding="utf-8")
+        argv = []
+        for k, v in lines:
+            argv += [FLAG_OF[k]] if k == "save_beams" else [FLAG_OF[k], v]
+        from_flag = config_of(argv)
+        from_file = config_of(["--config", str(config)])
+        assert from_flag == from_file
+        assert from_flag != cli.RunConfig()
+
+    @pytest.mark.parametrize("key, value", BAD_VALUES)
+    def test_bad_value_names_its_source(self, workspace, tmp_path, capsys, key, value):
+        flag = FLAG_OF[key]
+        base = ["train", "--corpus", str(workspace.corpus), "--out", str(tmp_path / "run")]
+        if key != "save_beams":
+            assert main([*base, f"{flag}={value}"]) == 1
+            assert f"error: {flag}: " in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert main([*base, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {config}: config key {key}: " in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestDecode:
@@ -466,6 +552,20 @@ class TestSweep:
         assert code == 1
         assert "must be even" in capsys.readouterr().err
 
+    def test_cell_with_only_empty_outputs_scores_distinct_zero(self, tmp_path):
+        # At k=1000 the smoothing swamps the counts and the empty output wins
+        # every sentence; the sweep still finishes every cell.
+        corpus = tmp_path / "corpus.tsv"
+        write_corpus_tsv(synthetic_pairs(400, 3), corpus)
+        flags = ["--corpus", str(corpus), "--split", "0.8,0.1,0.1", "--k", "1000",
+                 "--out", str(tmp_path / "run")]
+        assert main(["train", *flags]) == 0
+        assert main(["sweep", *flags, "--nb-list", "2,4", "--algorithms", "vbs,bidis"]) == 0
+        rows = read_csv(tmp_path / "run" / "sweep.csv")
+        assert [(r[0], r[1]) for r in rows[1:]] == [
+            ("vbs", "2"), ("bidis", "2"), ("vbs", "4"), ("bidis", "4")]
+        assert all(r[3] == r[4] == "0.000000" for r in rows[1:])
+
 
 class TestSearchMemo:
     """One sweep shares its searches across cells; no cell's output changes."""
@@ -565,6 +665,59 @@ class TestAnalyze:
         )
         assert code == 1
         assert "--save-beams" in capsys.readouterr().err
+
+
+def corrupting(key, *value):
+    """Delete ``key`` from a beam record (or its first beam member) or set it to ``value``."""
+    def corrupt(record):
+        target = record["beam"][0] if key in ("tokens", "logprob", "finished") else record
+        if value:
+            target[key] = value[0]
+        else:
+            del target[key]
+        return record
+    return corrupt
+
+
+class TestBeamFileFaults:
+    """A malformed persisted beam record exits 1 naming the file, line and key."""
+
+    @pytest.mark.parametrize("corrupt, problem", [
+        *((corrupting(key), f"key {key!r}") for key in (
+            "selected_index", "tokens", "logprob", "finished", "beam", "reference", "algorithm")),
+        (corrupting("selected_index", "1"), "key 'selected_index'"),
+        (corrupting("selected_index", 0), "key 'selected_index'"),
+        (corrupting("selected_index", 5), "key 'selected_index'"),
+        (corrupting("selected_index", True), "key 'selected_index'"),
+        (corrupting("beam", []), "key 'beam'"),
+        (corrupting("beam", [3]), "key 'beam'"),
+        (corrupting("reference", []), "key 'reference'"),
+        (corrupting("tokens", "4 5"), "key 'tokens'"),
+        (corrupting("tokens", [4, 10 ** 6]), "key 'tokens'"),
+        (corrupting("tokens", [-1]), "key 'tokens'"),
+        (corrupting("tokens", [[4]]), "key 'tokens'"),
+        (corrupting("finished", "yes"), "key 'finished'"),
+        (corrupting("logprob", "x"), "key 'logprob'"),
+        (lambda record: [record], "expected a JSON object"),
+    ])
+    def test_analyze_names_file_line_and_key(self, workspace, trained, capsys, corrupt, problem):
+        assert decode_into(workspace, trained, "--save-beams") == 0
+        path = trained / "beams_vbs_nb4.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = json.dumps(corrupt(json.loads(lines[1])))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        argv = ["analyze", "--corpus", str(workspace.corpus), *BASE_FLAGS, "--out", str(trained)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"beams_vbs_nb4.jsonl: line 2: {problem}" in err
+        assert "runtime error" not in err
+
+    def test_empty_beam_file_rejected(self, workspace, trained, capsys):
+        (trained / "beams_vbs_nb4.jsonl").write_text("\n", encoding="utf-8")
+        argv = ["analyze", "--corpus", str(workspace.corpus), *BASE_FLAGS, "--out", str(trained)]
+        assert main(argv) == 1
+        assert "beams_vbs_nb4.jsonl: holds no beam records" in capsys.readouterr().err
 
 
 class TestCorpusStats:

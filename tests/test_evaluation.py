@@ -124,6 +124,10 @@ class TestDistinctN:
         with pytest.raises(ParameterError):
             distinct_n([], 1)
 
+    def test_sentences_without_words_score_zero(self):
+        assert distinct_n([[], []], 1) == 0.0
+        assert distinct_n([[]], 2) == 0.0
+
     @given(st.lists(SENTENCES, min_size=1, max_size=5), st.integers(1, 4))
     def test_never_exceeds_one(self, sentences, n):
         assert distinct_n(sentences, n) <= 1.0

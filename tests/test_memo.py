@@ -29,7 +29,6 @@ def assert_same_output(memo, fresh):
     assert memo.beam == fresh.beam
     assert memo.scores == fresh.scores
     assert memo.selected_index == fresh.selected_index
-    assert memo.expansions == fresh.expansions
     assert memo.report == fresh.report
     assert memo.reverse_beam == fresh.reverse_beam
     assert memo.agreement == fresh.agreement

@@ -86,6 +86,18 @@ def _list(parse: Callable[[str], object], length: int = 0) -> Callable[[str], tu
     return parse_list
 
 
+def _checked(parse: Callable[[str], object], ok: Callable[[object], bool], what: str) -> Callable[[str], object]:
+    """``parse``, then reject a value that is not ``ok``; ``what`` says what it must be."""
+
+    def parse_checked(text: str) -> object:
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse_checked
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -115,14 +127,19 @@ class RunConfig:
     corpus: str | None = _option(None, "parallel corpus file")
     format: str = _option("tsv", "corpus file format", choices=("tsv", "jsonl"))
     split: tuple[float, float, float] = _option(
-        (0.97, 0.01, 0.02), "train,validation,test fractions", _list(_number(float), 3)
+        (0.97, 0.01, 0.02),
+        "train,validation,test fractions",
+        _checked(_list(_number(float, 0), 3), lambda split: abs(sum(split) - 1.0) <= 1e-9,
+                 "three fractions that sum to 1"),
     )
     seed: int = _option(0, "shuffle seed", _number(int))
     order: int = _option(3, "model n-gram order", _number(int, 1))
     weights: tuple[float, ...] = _option(
         (0.2, 0.3, 0.5), "interpolation weights, low to high order", _list(_number(float))
     )
-    k: float = _option(0.1, "additive smoothing constant", _number(float))
+    k: float = _option(
+        0.1, "additive smoothing constant", _checked(_number(float), lambda k: k > 0, "a number > 0")
+    )
     min_count: int = _option(1, "vocabulary cutoff", _number(int, 1))
     beam_size: int = _option(10, "beam size", _number(int, 1), key="B")
     max_length: int = _option(20, "maximum decode length", _number(int, 1), key="T")
@@ -189,17 +206,23 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
     cfg = RunConfig()
+    sources: dict[str, str] = {}  # where each option that was set came from
     for option in fields(RunConfig):
         if _key(option) in file_values:
-            source = f"{path}: config key {_key(option)}"
-            setattr(cfg, option.name, _parse(option, file_values[_key(option)], source))
+            sources[option.name] = f"{path}: config key {_key(option)}"
+            setattr(cfg, option.name, _parse(option, file_values[_key(option)], sources[option.name]))
         flag_value = getattr(args, option.name, None)
         if isinstance(flag_value, str):
             flag_value = _parse(option, flag_value, _flag(option))
         if flag_value is not None:
+            sources[option.name] = _flag(option)
             setattr(cfg, option.name, flag_value)
     if len(cfg.weights) != cfg.order:
-        raise ConfigError("need exactly one interpolation weight per order")
+        named = " and ".join(sources[name] for name in ("order", "weights") if name in sources)
+        raise ConfigError(
+            f"{named}: need exactly one interpolation weight per order "
+            f"(order {cfg.order}, {len(cfg.weights)} weights)"
+        )
     return cfg
 
 
@@ -258,7 +281,8 @@ def _build_measure(cfg: RunConfig, vocab: Vocabulary, kind: str) -> SimilaritySp
 
 
 def _load_grid(cfg: RunConfig, algorithms: Sequence[str], beam_sizes: Sequence[int]) -> tuple:
-    """Check the algorithm x beam-size grid, then load the models and splits."""
+    """Check the algorithm x beam-size grid, then load the models and the
+    validation and test splits, each encoded once for every cell."""
     _require(cfg, "corpus", "out")
     if any(a.startswith("bidia") for a in algorithms):
         for nb in beam_sizes:
@@ -266,7 +290,9 @@ def _load_grid(cfg: RunConfig, algorithms: Sequence[str], beam_sizes: Sequence[i
                 raise ConfigError(
                     f"beam size {nb} must be even: agreement decoding needs an even beam size"
                 )
-    return _load_models(cfg), _prepare_splits(cfg)
+    models = _load_models(cfg)
+    split = _prepare_splits(cfg)
+    return models, (encode_pairs(split.validation, models[0]), encode_pairs(split.test, models[0]))
 
 
 def _selected_score(output: DecodeOutput) -> float:
@@ -360,25 +386,26 @@ def _decode_cell(
     algorithm: str,
     beam_size: int,
     models: tuple[Vocabulary, ConditionalNGramLM, ConditionalNGramLM],
-    split,
+    encoded: tuple[Sequence[SentencePair], Sequence[SentencePair]],
     searches: dict,
     decodes_name: str,
     save_beams: bool,
 ) -> tuple[float, tuple[float, float, float]]:
     """Decode the test split as one cell of the grid and write its files.
 
-    bidis first picks its reverse weight on the validation split.  The cell
+    bidis first picks its reverse weight on the validation split.
+    ``encoded`` holds the encoded validation and test splits.  The cell
     writes ``decodes_name`` and, with ``save_beams``, its beams file;
     ``searches`` is the command's search memo.  Returns the weight (0.0
     unless bidis) and the cell's BLEU-4, distinct-1 and distinct-2.
     """
     vocab, regular, reverse = models
+    validation, test_pairs = encoded
     search = SearchParams(beam_size, cfg.max_length, cfg.alpha)
     lam = 0.0
     if algorithm == "vbs":
         decode = lambda pair: vbs_decode(regular, pair.source, search, searches)
     elif algorithm == "bidis":
-        validation = encode_pairs(split.validation, vocab)
         lam = select_lambda(regular, reverse, validation, search, cfg.lambda_grid, searches)
         params = BidiSParams(search, lam)
         decode = lambda pair: bidis_decode(regular, reverse, pair.source, params, searches)
@@ -387,7 +414,6 @@ def _decode_cell(
         decode = lambda pair: bidia_decode(
             regular, reverse, pair.source, search, measure, searches
         )
-    test_pairs = encode_pairs(split.test, vocab)
     if not test_pairs:
         raise ConfigError("test split is empty; adjust --split")
     outputs = [decode(pair) for pair in test_pairs]
@@ -401,22 +427,22 @@ def _decode_cell(
 
 
 def cmd_decode(cfg: RunConfig) -> int:
-    models, split = _load_grid(cfg, (cfg.algorithm,), (cfg.beam_size,))
+    models, encoded = _load_grid(cfg, (cfg.algorithm,), (cfg.beam_size,))
     lam, (bleu, d1, d2) = _decode_cell(
-        cfg, cfg.algorithm, cfg.beam_size, models, split, {},
+        cfg, cfg.algorithm, cfg.beam_size, models, encoded, {},
         f"decodes_{cfg.algorithm}.csv", cfg.save_beams,
     )
     extra = {"lambda_selected": lam} if cfg.algorithm == "bidis" else None
     _write_config(Path(cfg.out), "decode", cfg, extra)
     print(
-        f"{cfg.algorithm}: decoded {len(split.test)} test pairs, "
+        f"{cfg.algorithm}: decoded {len(encoded[1])} test pairs, "
         f"BLEU-4 {bleu:.3f}, distinct-1 {d1:.3f}, distinct-2 {d2:.3f}"
     )
     return 0
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    models, split = _load_grid(cfg, cfg.algorithms, cfg.nb_list)
+    models, encoded = _load_grid(cfg, cfg.algorithms, cfg.nb_list)
     out = Path(cfg.out)
     selected_lambdas: dict[str, float] = {}
     # One search memo for the whole sweep: bidis re-ranks the vbs beam,
@@ -430,7 +456,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         for nb in cfg.nb_list:
             for algorithm in cfg.algorithms:
                 lam, (bleu, d1, d2) = _decode_cell(
-                    cfg, algorithm, nb, models, split, searches,
+                    cfg, algorithm, nb, models, encoded, searches,
                     f"decodes_{algorithm}_nb{nb}.csv", True,
                 )
                 if algorithm == "bidis":

@@ -8,11 +8,13 @@ Only positions after SEP are predicted; the source is context, never output.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,11 +75,52 @@ def _check_ids(vocab_size: int, ids: Sequence[int], what: str) -> None:
             )
 
 
+# Count storage.  Order o's context at a predicted position is the last
+# o - 1 stream tokens, or the whole stream so far when it is shorter.  Each
+# context has an integer key: the row of its suffix among order o - 1's
+# contexts, times V + 1, plus its first token + 1.  Its suffix drops that
+# first token; a context shorter than o - 1 tokens starts at BOS, is its own
+# suffix and adds 0.  Order 1's one context, (), has key 0.  A key thus stays
+# below (order o - 1's context count) * (V + 1), which no corpus that fits in
+# memory brings near 2**63 at any order, and a query finds its context's row
+# order by order.
+
+
+class _Counts(NamedTuple):
+    """One order's counts, contexts sorted by key.
+
+    The context in row ``i`` owns ``tokens[offsets[i]:offsets[i + 1]]``, each
+    token once, with the parallel ``counts``; ``totals[i]`` is their sum (a
+    float, exact below 2**53).
+    """
+
+    keys: np.ndarray
+    offsets: np.ndarray
+    tokens: np.ndarray
+    counts: np.ndarray
+    totals: np.ndarray
+
+    @classmethod
+    def build(cls, keys: np.ndarray, rows: np.ndarray, tokens: np.ndarray,
+              counts: np.ndarray) -> "_Counts":
+        """From sorted context keys and (row, token, count) entries in row order."""
+        n = len(keys)
+        return cls(keys, np.searchsorted(rows, np.arange(n + 1)), tokens, counts,
+                   np.bincount(rows, weights=counts, minlength=n))
+
+    def find(self, key: int) -> int | None:
+        """The row of the context with this key, or None if it is unseen."""
+        keys = memoryview(self.keys)  # binary search over Python ints: no numpy call per probe
+        row = bisect.bisect_left(keys, key)
+        return row if row < len(keys) and keys[row] == key else None
+
+
 class ConditionalNGramLM(LanguageModel):
     """Interpolated add-k n-gram model conditioned on the source sequence.
 
     Probabilities interpolate orders 1..n with fixed weights; add-k smoothing
     at every order guarantees strictly positive probability for all V ids.
+    The counts of each order are held as sorted arrays (``_Counts``).
     """
 
     def __init__(
@@ -87,7 +130,7 @@ class ConditionalNGramLM(LanguageModel):
         direction: str,
         weights: Sequence[float],
         k: float,
-        counts: dict[int, dict[tuple[int, ...], dict[int, int]]],
+        tables: Sequence[_Counts],
     ):
         if order < 1:
             raise ParameterError("order must be >= 1")
@@ -107,16 +150,60 @@ class ConditionalNGramLM(LanguageModel):
         self.direction = direction
         self.weights = weights
         self.k = float(k)
-        self._counts = counts
-        self._totals = {
-            o: {ctx: sum(bucket.values()) for ctx, bucket in table.items()}
-            for o, table in counts.items()
-        }
+        self._tables = tuple(tables)
+        # Each order's terms of the row formula, computed once with the same
+        # float operations: the flat add-k share after each context and
+        # after an unseen one, and the share of each count.
+        self._terms = []
+        for weight, table in zip(weights, self._tables):
+            denoms = table.totals + self.k * vocab.size
+            self._terms.append((
+                weight * (self.k / denoms),
+                weight * (self.k / (0 + self.k * vocab.size)),
+                weight * table.counts / np.repeat(denoms, np.diff(table.offsets)),
+            ))
         # Order 1 conditions on the empty context for every query, and it is
         # the first term added, so each row starts from a copy of it.
+        self._root = self._tables[0].find(0)
         self._unigram = np.zeros(vocab.size)
-        self._add_order(self._unigram, 1, ())
+        self._add_order(self._unigram, 1, self._root)
         self._rows: dict[tuple[int, ...], np.ndarray] = {}
+
+    @classmethod
+    def from_counts(
+        cls,
+        vocab: Vocabulary,
+        order: int,
+        direction: str,
+        weights: Sequence[float],
+        k: float,
+        counts: dict[int, dict[tuple[int, ...], dict[int, int]]],
+    ) -> "ConditionalNGramLM":
+        """A model over ``{o: {context: {token: count}}}`` tables, one per order.
+
+        Every context's suffix must be a context of the order below, as it is
+        in every trained model and every model file that loads.
+        """
+        v = vocab.size
+        tables = []
+        rows = {(): 0}  # the contexts of the order below and their rows
+        for o in range(1, order + 1):
+            contexts = list(counts[o])
+            keys = np.fromiter(
+                (rows[ctx[1:]] * (v + 1) + ctx[0] + 1 if 0 < len(ctx) == o - 1 else rows[ctx] * (v + 1)
+                 for ctx in contexts),
+                np.int64, len(contexts),
+            )
+            by_key = np.argsort(keys)
+            contexts = [contexts[i] for i in by_key.tolist()]
+            rows = {ctx: row for row, ctx in enumerate(contexts)}
+            buckets = [counts[o][ctx] for ctx in contexts]
+            sizes = np.fromiter(map(len, buckets), np.int64, len(buckets))
+            items = itertools.chain.from_iterable(bucket.items() for bucket in buckets)
+            entries = np.fromiter(itertools.chain.from_iterable(items), np.int64).reshape(-1, 2)
+            tables.append(_Counts.build(
+                keys[by_key], np.repeat(np.arange(len(contexts)), sizes), entries[:, 0], entries[:, 1]))
+        return cls(vocab, order, direction, weights, k, tables)
 
     @classmethod
     def train(
@@ -128,22 +215,36 @@ class ConditionalNGramLM(LanguageModel):
         weights: Sequence[float] = DEFAULT_WEIGHTS,
         k: float = DEFAULT_K,
     ) -> "ConditionalNGramLM":
+        """Count every order's (context, token) windows over all streams at once."""
         if not pairs:
             raise ParameterError("cannot train on an empty corpus")
-        counts: dict[int, dict[tuple[int, ...], dict[int, int]]] = {
-            o: {} for o in range(1, order + 1)
-        }
-        for pair in pairs:
-            target = pair.target if direction == REGULAR else reverse_target(pair.target)
-            stream = (BOS_ID,) + tuple(pair.source) + (SEP_ID,) + tuple(target) + (EOS_ID,)
-            first_predicted = 2 + len(pair.source)  # position right after SEP
-            for i in range(first_predicted, len(stream)):
-                token = stream[i]
-                for o in range(1, order + 1):
-                    ctx = stream[max(0, i - (o - 1)) : i]
-                    bucket = counts[o].setdefault(ctx, {})
-                    bucket[token] = bucket.get(token, 0) + 1
-        return cls(vocab, order, direction, weights, k, counts)
+        streams = [
+            (BOS_ID, *pair.source, SEP_ID,
+             *(pair.target if direction == REGULAR else reverse_target(pair.target)), EOS_ID)
+            for pair in pairs
+        ]
+        stream = np.fromiter(itertools.chain.from_iterable(streams), np.int64)
+        v = vocab.size
+        if stream.min() < 0 or stream.max() >= v:
+            raise VocabularyMismatchError(f"training ids fall outside vocabulary of size {v}")
+        lengths = np.fromiter(map(len, streams), np.int64, len(streams))
+        # Each position's distance from its stream's BOS.  Only positions
+        # after SEP are predicted.
+        depth = np.arange(len(stream)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        first = np.fromiter((2 + len(pair.source) for pair in pairs), np.int64, len(pairs))
+        at = np.flatnonzero(depth >= np.repeat(first, lengths))
+        depth, token = depth[at], stream[at]
+        tables = []
+        keys = np.zeros(len(at), np.int64)
+        for o in range(1, order + 1):
+            if o > 1:
+                keys = rows * (v + 1)
+                full = depth >= o - 1
+                keys[full] += stream[at[full] - (o - 1)] + 1
+            contexts, rows = np.unique(keys, return_inverse=True)
+            entries, counts = np.unique(rows * v + token, return_counts=True)
+            tables.append(_Counts.build(contexts, entries // v, entries % v, counts))
+        return cls(vocab, order, direction, weights, k, tables)
 
     def next_token_logprobs(
         self, source: Sequence[int], prefix: Sequence[int]
@@ -163,8 +264,14 @@ class ConditionalNGramLM(LanguageModel):
         row = self._rows.get(key)
         if row is None:
             probs = self._unigram.copy()
+            found = self._root
             for o in range(2, self.order + 1):
-                self._add_order(probs, o, key[max(0, len(key) - (o - 1)) :])
+                # An unseen context has no seen extension at a higher order.
+                if found is not None:
+                    first = len(key) - (o - 1)
+                    head = key[first] + 1 if first >= 0 else 0
+                    found = self._tables[o - 1].find(found * (v + 1) + head)
+                self._add_order(probs, o, found)
             row = np.log(probs)
             row.flags.writeable = False
             if len(self._rows) * v >= ROW_MEMO_FLOATS:
@@ -172,15 +279,29 @@ class ConditionalNGramLM(LanguageModel):
             self._rows[key] = row
         return row
 
-    def _add_order(self, probs: np.ndarray, o: int, ctx: tuple[int, ...]) -> None:
-        """Add order ``o``'s weighted add-k probabilities after ``ctx`` in place."""
-        weight = self.weights[o - 1]
-        denom = self._totals[o].get(ctx, 0) + self.k * self.vocab.size
-        probs += weight * (self.k / denom)
-        bucket = self._counts[o].get(ctx)
-        if bucket:
-            for token, count in bucket.items():
-                probs[token] += weight * count / denom
+    def _add_order(self, probs: np.ndarray, o: int, found: int | None) -> None:
+        """Add order ``o``'s weighted add-k probabilities after the context in
+        row ``found`` (None: an unseen context) in place."""
+        shares, unseen, gains = self._terms[o - 1]
+        if found is None:
+            probs += unseen
+            return
+        probs += shares[found]
+        table = self._tables[o - 1]
+        start, stop = table.offsets[found], table.offsets[found + 1]
+        probs[table.tokens[start:stop]] += gains[start:stop]
+
+    def count_table(self, o: int) -> dict[tuple[int, ...], dict[int, int]]:
+        """Order ``o``'s counts as a fresh ``{context: {token: count}}`` dict."""
+        contexts = [()]
+        for table in self._tables[:o]:
+            parents, heads = np.divmod(table.keys, self.vocab.size + 1)
+            contexts = [(head - 1, *contexts[parent]) if head else contexts[parent]
+                        for parent, head in zip(parents.tolist(), heads.tolist())]
+        table = self._tables[o - 1]
+        offsets, tokens, counts = table.offsets.tolist(), table.tokens.tolist(), table.counts.tolist()
+        return {ctx: dict(zip(tokens[start:stop], counts[start:stop]))
+                for ctx, start, stop in zip(contexts, offsets, offsets[1:])}
 
     def save(self, path: str | Path) -> None:
         """Write a canonical JSON dump; counts are sorted so reruns are bit-identical."""
@@ -196,10 +317,10 @@ class ConditionalNGramLM(LanguageModel):
                     o,
                     [
                         [list(ctx), sorted(bucket.items())]
-                        for ctx, bucket in sorted(self._counts[o].items())
+                        for ctx, bucket in sorted(self.count_table(o).items())
                     ],
                 ]
-                for o in sorted(self._counts)
+                for o in range(1, self.order + 1)
             ],
         }
         Path(path).write_text(
@@ -228,7 +349,7 @@ class ConditionalNGramLM(LanguageModel):
             )
         counts = _parse_counts(path, payload["counts"], payload["order"], vocab.size)
         try:
-            return cls(
+            return cls.from_counts(
                 vocab,
                 payload["order"],
                 payload["direction"],
@@ -268,7 +389,9 @@ def _parse_counts(
     path: str | Path, tables: list, order: int, v: int
 ) -> dict[int, dict[tuple[int, ...], dict[int, int]]]:
     """The count tables of a model file: one per order 1..order, contexts of
-    at most o - 1 ids, and non-negative integer counts, all ids below V."""
+    at most o - 1 ids whose suffixes are contexts of the order below, and
+    non-negative integer counts summing below 2**53 per context, all ids
+    below V."""
 
     def fail(message: str) -> FormatError:
         return FormatError(f"{path}: key 'counts': {message}")
@@ -301,8 +424,16 @@ def _parse_counts(
                     raise fail(f"order {o}: context {ctx}: count {count!r} of token "
                                f"{token} is not a non-negative integer")
                 words[token] = count
+            if sum(words.values()) >= 2 ** 53:
+                raise fail(f"order {o}: context {ctx}: counts sum to 2**53 or more")
     if len(counts) != order:
         raise fail(f"each entry must be [o, table], once for each o in 1..{order}")
+    for o in range(2, order + 1):
+        for ctx in counts[o]:
+            suffix = ctx[1:] if len(ctx) == o - 1 else ctx
+            if suffix not in counts[o - 1]:
+                raise fail(f"order {o}: context {list(ctx)} has no suffix "
+                           f"{list(suffix)} at order {o - 1}")
     return counts
 
 

@@ -1,14 +1,16 @@
 """Independent oracles the tests compare the library against.
 
 Everything here is written from the defining formulas, on purpose without
-reusing the library's helpers: exhaustive decode enumeration, a
-transportation-polytope vertex solver over exact rationals, and from-scratch
-sentence similarity used to cross-check agreement decoding.
+reusing the library's helpers: n-gram counting one position at a time,
+exhaustive decode enumeration, a transportation-polytope vertex solver over
+exact rationals, and from-scratch sentence similarity used to cross-check
+agreement decoding.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -102,6 +104,44 @@ def reference_vbs(model, source, v: int, b: int, t: int, alpha: float):
         expansions=expansions,
         sort_events=sort_events,
     )
+
+
+def reference_ngram_counts(pairs, order: int, direction: str) -> dict:
+    """Every order's ``{context: {token: count}}`` table, counted one stream
+    position and one order at a time.
+
+    Each pair makes the stream [BOS, source..., SEP, target'..., EOS], where
+    target' is reversed for the "reverse" direction.  Only positions after
+    SEP are predicted; order o's context is the o - 1 tokens before the
+    position, or all of them near the stream's start.
+    """
+    counts = {o: {} for o in range(1, order + 1)}
+    for pair in pairs:
+        target = pair.target[::-1] if direction == "reverse" else pair.target
+        stream = (BOS, *pair.source, SEP, *target, EOS)
+        for i in range(2 + len(pair.source), len(stream)):
+            for o in range(1, order + 1):
+                bucket = counts[o].setdefault(stream[max(0, i - (o - 1)):i], {})
+                bucket[stream[i]] = bucket.get(stream[i], 0) + 1
+    return counts
+
+
+def reference_model_file(counts, order: int, direction: str, v: int, weights, k: float) -> str:
+    """A model file in format version 1: compact JSON, contexts and tokens
+    in ascending (tuple) order."""
+    payload = {
+        "format_version": 1,
+        "order": order,
+        "direction": direction,
+        "vocab_size": v,
+        "weights": [float(w) for w in weights],
+        "k": float(k),
+        "counts": [
+            [o, [[list(ctx), sorted(bucket.items())] for ctx, bucket in sorted(counts[o].items())]]
+            for o in sorted(counts)
+        ],
+    }
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def oracle_ngram_logprobs(counts, order: int, weights, k: float, v: int,

@@ -125,7 +125,7 @@ class TestVbsDecode:
     def test_tie_break_is_lexicographic(self, vocab6):
         # A uniform model scores all sequences of one length identically,
         # so ordering inside the beam must come from the token ids.
-        model = ConditionalNGramLM(vocab6, 1, REGULAR, [1.0], 1.0, {1: {}})
+        model = ConditionalNGramLM.from_counts(vocab6, 1, REGULAR, [1.0], 1.0, {1: {}})
         out = vbs_decode(model, (4,), SearchParams(4, 2))
         same_score = [h.tokens for h, s in zip(out.beam, out.scores)
                       if s == out.scores[0]]

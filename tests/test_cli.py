@@ -216,6 +216,7 @@ BAD_VALUES = [
     ("weights", "0.2,x,0.5"), ("lambda_grid", "nan"), ("lambda_grid", "-1"),
     ("lambda_grid", ","), ("nb_list", "2,0"), ("format", "csv"), ("algorithm", "beam"),
     ("algorithms", "vbs,beam"), ("bp_mode", "add"), ("save_beams", "maybe"),
+    ("k", "0"), ("split", "0.5,0.1,0.1"), ("order", "2"),
 ]
 
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidibeam import lm
-from bidibeam.corpus import EOS_ID, build_vocabulary, encode_pairs
+from bidibeam.corpus import EOS_ID, SentencePair, build_vocabulary, encode_pairs
 from bidibeam.errors import (
     DirectionError,
     FormatError,
@@ -20,7 +22,7 @@ from bidibeam.lm import REGULAR, REVERSE, ConditionalNGramLM, reverse_sequence_l
 from bidibeam.synth import synthetic_pairs
 
 from conftest import dummy_vocab
-from oracles import oracle_ngram_logprobs
+from oracles import oracle_ngram_logprobs, reference_model_file, reference_ngram_counts
 
 
 def make_model(surface_pairs, order=1, direction=REGULAR, weights=None, k=1.0,
@@ -34,11 +36,16 @@ def make_model(surface_pairs, order=1, direction=REGULAR, weights=None, k=1.0,
     return model, vocab
 
 
+def count_tables(model):
+    """Every order's counts, read through the model's public view."""
+    return {o: model.count_table(o) for o in range(1, model.order + 1)}
+
+
 class TestTraining:
     def test_unigram_counts_from_single_pair(self):
         model, vocab = make_model([(["q"], ["a"])])
         a = vocab.id_for("a")
-        assert model._counts[1][()] == {a: 1, EOS_ID: 1}
+        assert model.count_table(1)[()] == {a: 1, EOS_ID: 1}
 
     def test_reverse_direction_counts_reversed_order(self):
         surface = [(["q"], ["a", "b"])]
@@ -46,13 +53,13 @@ class TestTraining:
         pairs = encode_pairs(surface, vocab)
         model = ConditionalNGramLM.train(pairs, vocab, 2, REVERSE, [0.5, 0.5], 1.0)
         a, b = vocab.id_for("a"), vocab.id_for("b")
-        assert model._counts[2][(b,)] == {a: 1}
-        assert model._counts[2][(a,)] == {EOS_ID: 1}
+        assert model.count_table(2)[(b,)] == {a: 1}
+        assert model.count_table(2)[(a,)] == {EOS_ID: 1}
 
     def test_source_tokens_are_conditioning_only(self):
         model, vocab = make_model([(["q", "q", "q"], ["a"])])
         q = vocab.id_for("q")
-        assert q not in model._counts[1][()]
+        assert q not in model.count_table(1)[()]
 
     def test_single_token_targets_make_directions_agree(self):
         surface = [(["q"], ["a"]), (["r"], ["b"]), (["q"], ["a"])]
@@ -60,7 +67,7 @@ class TestTraining:
         pairs = encode_pairs(surface, vocab)
         fwd = ConditionalNGramLM.train(pairs, vocab, 2, REGULAR, [0.5, 0.5], 1.0)
         bwd = ConditionalNGramLM.train(pairs, vocab, 2, REVERSE, [0.5, 0.5], 1.0)
-        assert fwd._counts == bwd._counts
+        assert count_tables(fwd) == count_tables(bwd)
 
     def test_palindromic_targets_make_directions_agree(self):
         surface = [(["q"], ["a", "b", "a"]), (["r"], ["c", "c"])]
@@ -68,7 +75,7 @@ class TestTraining:
         pairs = encode_pairs(surface, vocab)
         fwd = ConditionalNGramLM.train(pairs, vocab, 3, REGULAR, [0.2, 0.3, 0.5], 0.1)
         bwd = ConditionalNGramLM.train(pairs, vocab, 3, REVERSE, [0.2, 0.3, 0.5], 0.1)
-        assert fwd._counts == bwd._counts
+        assert count_tables(fwd) == count_tables(bwd)
 
     def test_empty_corpus_rejected(self):
         vocab = dummy_vocab(6)
@@ -80,32 +87,32 @@ class TestValidation:
     def test_order_below_one(self):
         vocab = dummy_vocab(6)
         with pytest.raises(ParameterError):
-            ConditionalNGramLM(vocab, 0, REGULAR, [], 1.0, {})
+            ConditionalNGramLM.from_counts(vocab, 0, REGULAR, [], 1.0, {})
 
     def test_weights_length_must_match_order(self):
         vocab = dummy_vocab(6)
         with pytest.raises(ParameterError):
-            ConditionalNGramLM(vocab, 2, REGULAR, [1.0], 1.0, {1: {}, 2: {}})
+            ConditionalNGramLM.from_counts(vocab, 2, REGULAR, [1.0], 1.0, {1: {}, 2: {}})
 
     def test_weights_must_sum_to_one(self):
         vocab = dummy_vocab(6)
         with pytest.raises(ParameterError):
-            ConditionalNGramLM(vocab, 1, REGULAR, [0.9], 1.0, {1: {}})
+            ConditionalNGramLM.from_counts(vocab, 1, REGULAR, [0.9], 1.0, {1: {}})
 
     def test_negative_weight_rejected(self):
         vocab = dummy_vocab(6)
         with pytest.raises(ParameterError):
-            ConditionalNGramLM(vocab, 2, REGULAR, [-0.5, 1.5], 1.0, {1: {}, 2: {}})
+            ConditionalNGramLM.from_counts(vocab, 2, REGULAR, [-0.5, 1.5], 1.0, {1: {}, 2: {}})
 
     def test_k_must_be_positive(self):
         vocab = dummy_vocab(6)
         with pytest.raises(ParameterError):
-            ConditionalNGramLM(vocab, 1, REGULAR, [1.0], 0.0, {1: {}})
+            ConditionalNGramLM.from_counts(vocab, 1, REGULAR, [1.0], 0.0, {1: {}})
 
     def test_unknown_direction(self):
         vocab = dummy_vocab(6)
         with pytest.raises(ParameterError):
-            ConditionalNGramLM(vocab, 1, "sideways", [1.0], 1.0, {1: {}})
+            ConditionalNGramLM.from_counts(vocab, 1, "sideways", [1.0], 1.0, {1: {}})
 
 
 class TestNextTokenLogprobs:
@@ -120,7 +127,7 @@ class TestNextTokenLogprobs:
 
     def test_untrained_counts_give_uniform(self):
         vocab = dummy_vocab(6)
-        model = ConditionalNGramLM(vocab, 1, REGULAR, [1.0], 0.5, {1: {}})
+        model = ConditionalNGramLM.from_counts(vocab, 1, REGULAR, [1.0], 0.5, {1: {}})
         probs = np.exp(model.next_token_logprobs((4,), ()))
         np.testing.assert_allclose(probs, np.full(6, 1 / 6), atol=1e-12)
 
@@ -140,8 +147,8 @@ class TestNextTokenLogprobs:
         uniform = np.full(vocab.size, 1 / vocab.size)
         last = None
         for k in (0.01, 0.1, 1.0, 10.0, 100.0):
-            model = ConditionalNGramLM(
-                vocab, 1, REGULAR, [1.0], k, model_small._counts)
+            model = ConditionalNGramLM.from_counts(
+                vocab, 1, REGULAR, [1.0], k, count_tables(model_small))
             probs = np.exp(model.next_token_logprobs((vocab.id_for("q"),), ()))
             gap = np.abs(probs - uniform).max()
             if last is not None:
@@ -189,7 +196,7 @@ class TestRowMemo:
         (model, _), encoded = trained_pair()
         for source, prefix in queries(encoded):
             expected = oracle_ngram_logprobs(
-                model._counts, model.order, model.weights, model.k,
+                count_tables(model), model.order, model.weights, model.k,
                 model.vocab.size, source, prefix)
             assert model.next_token_logprobs(source, prefix).tobytes() == expected.tobytes()
 
@@ -206,7 +213,7 @@ class TestRowMemo:
             total = 0.0
             for i, token in enumerate(target):
                 total += float(oracle_ngram_logprobs(
-                    model._counts, model.order, model.weights, model.k,
+                    count_tables(model), model.order, model.weights, model.k,
                     model.vocab.size, source, target[:i])[token])
             return total
 
@@ -225,6 +232,67 @@ class TestRowMemo:
         assert len(model._rows) <= 3
         (fresh, _), _ = trained_pair()
         assert rows == [fresh.next_token_logprobs(s, p).tobytes() for s, p in contexts]
+
+
+@st.composite
+def corpora(draw):
+    """A small encoded corpus with an order in 1..6, a direction and k.
+
+    Sources of one token leave order 5's and 6's first contexts shorter than
+    o - 1 tokens."""
+    v = draw(st.integers(5, 12))
+    side = lambda most: st.lists(st.integers(3, v - 1), min_size=1, max_size=most).map(tuple)
+    pairs = draw(st.lists(st.builds(SentencePair, side(3), side(6)), min_size=1, max_size=10))
+    order = draw(st.integers(1, 6))
+    return (v, pairs, order, draw(st.sampled_from([REGULAR, REVERSE])),
+            draw(st.sampled_from([0.001, 0.1, 1.0])))
+
+
+def rising_weights(order):
+    return tuple(i / (order * (order + 1) / 2) for i in range(1, order + 1))
+
+
+def check_against_oracles(v, pairs, order, direction, k):
+    """Counts, rows and model files equal the counting oracle's, bit for bit."""
+    vocab = dummy_vocab(v)
+    weights = rising_weights(order)
+    model = ConditionalNGramLM.train(pairs, vocab, order, direction, weights, k)
+    expected = reference_ngram_counts(pairs, order, direction)
+    assert count_tables(model) == expected
+    for pair in pairs:
+        target = pair.target[::-1] if direction == REVERSE else pair.target
+        for prefix in [target[:i] for i in range(len(target) + 1)] + [(3, v - 1)]:
+            row = model.next_token_logprobs(pair.source, prefix)
+            assert row.tobytes() == oracle_ngram_logprobs(
+                expected, order, weights, k, v, pair.source, prefix).tobytes()
+    with tempfile.TemporaryDirectory() as scratch:
+        saved, resaved = Path(scratch) / "lm.json", Path(scratch) / "again.json"
+        model.save(saved)
+        assert saved.read_bytes() == reference_model_file(
+            expected, order, direction, v, weights, k).encode("utf-8")
+        ConditionalNGramLM.load(saved, vocab).save(resaved)
+        assert resaved.read_bytes() == saved.read_bytes()
+
+
+class TestCountArrays:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(corpora())
+    def test_counts_rows_and_files_match_the_counting_oracle(self, case):
+        check_against_oracles(*case)
+
+    @pytest.mark.parametrize("direction", [REGULAR, REVERSE])
+    def test_vocabulary_past_the_int64_key_range(self, direction):
+        v, order = 70_000, 5
+        assert (v + 1) ** order > np.iinfo(np.int64).max
+        rng = np.random.default_rng(3)
+        words = [int(w) for w in rng.choice(np.arange(60_000, v), size=12, replace=False)]
+        pick = lambda most: tuple(int(w) for w in rng.choice(words, size=rng.integers(1, most + 1)))
+        pairs = [SentencePair(pick(2), pick(5)) for _ in range(40)]
+        check_against_oracles(v, pairs, order, direction, 0.01)
+
+    def test_ids_outside_the_vocabulary_rejected(self):
+        with pytest.raises(VocabularyMismatchError):
+            ConditionalNGramLM.train([SentencePair((4,), (6,))], dummy_vocab(6), 1, REGULAR, [1.0], 1.0)
 
 
 class TestSequenceLogprob:
@@ -302,7 +370,7 @@ class TestSerialization:
         np.testing.assert_array_equal(
             loaded.next_token_logprobs(src, ()),
             model.next_token_logprobs(src, ()))
-        assert loaded._counts == model._counts
+        assert count_tables(loaded) == count_tables(model)
         assert loaded.weights == model.weights
         assert loaded.direction == model.direction
 
@@ -382,6 +450,9 @@ SCHEMA_FAULTS = [
     ("context-id-V",
      lambda p: p["counts"][1][1][0].__setitem__(0, [p["vocab_size"]]), "'counts'"),
     ("missing-order-table", lambda p: p["counts"].pop(), "'counts'"),
+    ("missing-suffix-context", lambda p: p["counts"][0][1].clear(), "'counts'"),
+    ("count-sum-2**53",
+     lambda p: _first_bucket(p, 1)[0].__setitem__(1, 2 ** 53), "'counts'"),
 ]
 
 

@@ -249,14 +249,25 @@ def _prepare_splits(cfg: RunConfig) -> tuple:
     return split_corpus(surface_pairs, cfg.split, cfg.seed)
 
 
+def _untrained(out: str | Path) -> ConfigError:
+    return ConfigError(f"no trained models under {out}; run the train command first")
+
+
+def _load_vocab(cfg: RunConfig) -> Vocabulary:
+    try:
+        return Vocabulary.load(Path(cfg.out) / "vocab.txt")
+    except OSError:
+        raise _untrained(cfg.out) from None
+
+
 def _load_models(cfg: RunConfig) -> tuple[Vocabulary, ConditionalNGramLM, ConditionalNGramLM]:
     out = Path(cfg.out)
+    vocab = _load_vocab(cfg)
     try:
-        vocab = Vocabulary.load(out / "vocab.txt")
         regular = ConditionalNGramLM.load(out / "lm_regular.json", vocab)
         reverse = ConditionalNGramLM.load(out / "lm_reverse.json", vocab)
     except OSError:
-        raise ConfigError(f"no trained models under {out}; run the train command first") from None
+        raise _untrained(out) from None
     return vocab, regular, reverse
 
 
@@ -533,7 +544,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         raise ConfigError(
             f"no persisted beams under {out}; decode with --save-beams or run sweep first"
         )
-    vocab, _, _ = _load_models(cfg)
+    vocab = _load_vocab(cfg)
     split = _prepare_splits(cfg)
     all_pairs = encode_pairs(
         list(split.train) + list(split.validation) + list(split.test), vocab

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BidibeamError, FormatError, ParameterError
 
@@ -49,11 +49,6 @@ def read_user_text(path: str | Path, error: type[BidibeamError] = FormatError) -
         ) from None
 
 
-class Token(NamedTuple):
-    surface: str
-    id: int
-
-
 class Vocabulary:
     """Bijective surface <-> id table with reserved markers at ids 0..3.
 
@@ -78,9 +73,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return self.size
 
-    def __contains__(self, surface: str) -> bool:
-        return surface in self._surface_to_id
-
     def id_for(self, surface: str) -> int:
         return self._surface_to_id.get(surface, UNK_ID)
 
@@ -94,10 +86,6 @@ class Vocabulary:
 
     def decode(self, ids: Iterable[int]) -> list[str]:
         return [self.surface_for(i) for i in ids]
-
-    def tokens(self) -> Iterable[Token]:
-        for i, s in enumerate(self._id_to_surface):
-            yield Token(s, i)
 
     def save(self, path: str | Path) -> None:
         lines = [f"{s}\t{i}" for i, s in enumerate(self._id_to_surface)]
@@ -150,7 +138,6 @@ class CorpusSplit:
     train: tuple
     validation: tuple
     test: tuple
-    fractions: tuple[float, float, float]
 
 
 def tokenize(line: str) -> list[str]:
@@ -261,5 +248,4 @@ def split_corpus(
         train=tuple(shuffled[:n_train]),
         validation=tuple(shuffled[n_train : n_train + n_val]),
         test=tuple(shuffled[n_train + n_val :]),
-        fractions=tuple(fractions),
     )

@@ -3,7 +3,6 @@ rank / word-position statistics for beam analysis."""
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -11,9 +10,13 @@ from typing import Sequence
 from .beam import DecodeOutput, Hypothesis
 from .corpus import SentencePair, Vocabulary, reverse_target
 from .errors import ParameterError
-from .similarity import clipped_precision_counts, smoothed_precisions
-
-BLEU_ORDER = 4
+from .similarity import (
+    BLEU_ORDER,
+    bp_t,
+    clipped_precision_counts,
+    geometric_mean,
+    smoothed_precisions,
+)
 
 
 @dataclass
@@ -50,17 +53,9 @@ class BleuAccumulator:
         """
         if self.candidate_length == 0:
             return 0.0
-        log_mean = 0.0
-        for m, t in zip(self.matches, self.totals):
-            if t == 0:
-                continue
-            if m == 0:
-                return 0.0
-            log_mean += math.log(m / t) / BLEU_ORDER
-        penalty = min(
-            1.0, math.exp(1.0 - self.reference_length / self.candidate_length)
-        )
-        return 100.0 * penalty * math.exp(log_mean)
+        precisions = [m / t if t else 1.0 for m, t in zip(self.matches, self.totals)]
+        penalty = bp_t(self.candidate_length, self.reference_length)
+        return 100.0 * penalty * geometric_mean(precisions)
 
 
 def corpus_bleu4(pairs: Sequence[tuple[Sequence, Sequence]]) -> float:
@@ -101,11 +96,7 @@ def sentence_bleu4(candidate: Sequence, reference: Sequence) -> float:
     if not candidate:
         return 0.0
     precisions = smoothed_precisions(candidate, reference, BLEU_ORDER)
-    if any(p == 0.0 for p in precisions):
-        return 0.0
-    log_mean = sum(math.log(p) for p in precisions) / BLEU_ORDER
-    penalty = min(1.0, math.exp(1.0 - len(reference) / len(candidate)))
-    return penalty * math.exp(log_mean)
+    return bp_t(len(candidate), len(reference)) * geometric_mean(precisions)
 
 
 def best_hypothesis(

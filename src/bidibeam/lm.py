@@ -414,6 +414,8 @@ def _parse_counts(
                 raise fail(f"order {o}: context {ctx} is longer than {o - 1}")
             if not all(map(is_id, ctx)):
                 raise fail(f"order {o}: context {ctx} holds an id outside 0..{v - 1}")
+            if tuple(ctx) in counts[o]:
+                raise fail(f"order {o}: context {ctx} appears twice")
             words = counts[o][tuple(ctx)] = {}
             for item in bucket:
                 if not (_is_pair(item) and is_id(item[0])):
@@ -423,6 +425,8 @@ def _parse_counts(
                 if not (_is_int(count) and count >= 0):
                     raise fail(f"order {o}: context {ctx}: count {count!r} of token "
                                f"{token} is not a non-negative integer")
+                if token in words:
+                    raise fail(f"order {o}: context {ctx}: token {token} appears twice")
                 words[token] = count
             if sum(words.values()) >= 2 ** 53:
                 raise fail(f"order {o}: context {ctx}: counts sum to 2**53 or more")

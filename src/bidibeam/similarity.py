@@ -28,6 +28,8 @@ log = logging.getLogger(__name__)
 BLEU_T = "bleu_t"
 WMD_T = "wmd_t"
 
+BLEU_ORDER = 4
+
 BP_DIVIDE = "divide"
 BP_MULTIPLY = "multiply"
 
@@ -42,8 +44,6 @@ class SimilaritySpec:
 
     kind: str
     max_length: int
-    ngram_order: int = 4
-    weights: Optional[tuple[float, ...]] = None
     bp_mode: str = BP_DIVIDE
     embeddings: Optional["EmbeddingTable"] = None
     stopwords: frozenset[str] = frozenset()
@@ -54,31 +54,19 @@ class SimilaritySpec:
             raise ParameterError(f"unknown similarity kind {self.kind!r}")
         if self.max_length < 1:
             raise ParameterError("maximum sentence length must be >= 1")
-        if self.ngram_order < 1:
-            raise ParameterError("n-gram order must be >= 1")
         if self.bp_mode not in (BP_DIVIDE, BP_MULTIPLY):
             raise ParameterError(f"unknown brevity-penalty mode {self.bp_mode!r}")
-        if self.weights is None:
-            object.__setattr__(
-                self, "weights", (1.0 / self.ngram_order,) * self.ngram_order
-            )
-        weights = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        if len(weights) != self.ngram_order:
-            raise ParameterError("need exactly one weight per n-gram order")
-        if any(w <= 0 for w in weights):
-            raise ParameterError("n-gram weights must be positive")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ParameterError("n-gram weights must sum to 1")
         if self.kind == WMD_T and self.embeddings is None:
             raise ParameterError("the WMD measure requires an embedding table")
 
 
-def bp_t(candidate_length: int, max_length: int) -> float:
-    """Brevity penalty min(1, exp(1 - T/c)) against the decoder length limit T."""
+def bp_t(candidate_length: int, reference_length: int) -> float:
+    """Brevity penalty min(1, exp(1 - r/c)) of a length-c candidate against
+    reference length r; the similarity measures pass the decoder length
+    limit T as r, corpus and sentence BLEU-4 the reference's length."""
     if candidate_length < 1:
         raise ParameterError("candidate length must be >= 1")
-    return min(1.0, math.exp(1.0 - max_length / candidate_length))
+    return min(1.0, math.exp(1.0 - reference_length / candidate_length))
 
 
 def _ngram_counts(tokens: Sequence, n: int) -> Counter:
@@ -119,24 +107,23 @@ def smoothed_precisions(
     return precisions
 
 
-def _weighted_geometric(precisions: Sequence[float], weights: Sequence[float]) -> float:
+def geometric_mean(precisions: Sequence[float]) -> float:
+    """Uniformly weighted geometric mean of n-gram precisions; 0 when any is 0."""
     if any(p == 0.0 for p in precisions):
         return 0.0
-    return math.exp(sum(w * math.log(p) for w, p in zip(weights, precisions)))
+    return math.exp(sum(math.log(p) for p in precisions) / len(precisions))
 
 
 def bleu_t(hypothesis: Sequence, reference: Sequence, spec: SimilaritySpec) -> float:
-    """Sentence BLEU with the decoder length limit as reference length.
+    """Sentence BLEU-4 with the decoder length limit as reference length.
 
-    Equals bp_t(|hypothesis|, T) times the weighted geometric mean of the
-    smoothed modified n-gram precisions; always in [0, 1].
+    Equals bp_t(|hypothesis|, T) times the geometric mean of the smoothed
+    modified n-gram precisions; always in [0, 1].
     """
     if not hypothesis or not reference:
         raise ParameterError("bleu_t requires non-empty sequences")
-    precisions = smoothed_precisions(hypothesis, reference, spec.ngram_order)
-    return bp_t(len(hypothesis), spec.max_length) * _weighted_geometric(
-        precisions, spec.weights
-    )
+    precisions = smoothed_precisions(hypothesis, reference, BLEU_ORDER)
+    return bp_t(len(hypothesis), spec.max_length) * geometric_mean(precisions)
 
 
 class EmbeddingTable:

@@ -8,7 +8,6 @@ rank analyses need to show anything interesting.
 
 from __future__ import annotations
 
-import json
 import random
 from pathlib import Path
 from typing import Sequence
@@ -68,15 +67,6 @@ def write_corpus_tsv(
     with open(path, "w", encoding="utf-8") as handle:
         for source, target in pairs:
             handle.write(" ".join(source) + "\t" + " ".join(target) + "\n")
-
-
-def write_corpus_jsonl(
-    pairs: Sequence[tuple[Sequence[str], Sequence[str]]], path: str | Path
-) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for source, target in pairs:
-            record = {"source": " ".join(source), "target": " ".join(target)}
-            handle.write(json.dumps(record) + "\n")
 
 
 def write_embeddings(

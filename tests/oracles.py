@@ -256,11 +256,11 @@ def oracle_bp_t(length: int, t: int) -> float:
     return min(1.0, math.exp(1.0 - t / length))
 
 
-def oracle_bleu_t(hyp: Sequence, ref: Sequence, t: int, order: int = 4) -> float:
-    """Length-limit BLEU recomputed directly from its definition."""
+def oracle_bleu_t(hyp: Sequence, ref: Sequence, t: int) -> float:
+    """Length-limit BLEU-4 recomputed directly from its definition."""
     matches = []
     totals = []
-    for n in range(1, order + 1):
+    for n in range(1, 5):
         hyp_grams = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
         ref_grams = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
         matches.append(sum(min(c, ref_grams[g]) for g, c in hyp_grams.items()))
@@ -276,7 +276,7 @@ def oracle_bleu_t(hyp: Sequence, ref: Sequence, t: int, order: int = 4) -> float
             p = m / tot
         if p == 0.0:
             return 0.0
-        log_sum += (1.0 / order) * math.log(p)
+        log_sum += 0.25 * math.log(p)
     return oracle_bp_t(len(hyp), t) * math.exp(log_sum)
 
 
@@ -307,6 +307,38 @@ def oracle_sentence_bleu4(cand: Sequence, ref: Sequence) -> float:
         log_sum += 0.25 * math.log(p)
     bp = min(1.0, math.exp(1.0 - len(ref) / len(cand)))
     return bp * math.exp(log_sum)
+
+
+def oracle_corpus_bleu4(pairs: Sequence[tuple[Sequence, Sequence]]) -> float:
+    """Micro-averaged corpus BLEU-4 on the 0..100 scale, from scratch.
+
+    Clipped matches and candidate n-gram totals are summed over the corpus
+    for each order; an order with no candidate n-grams anywhere is skipped.
+    """
+    matches = [0] * 4
+    totals = [0] * 4
+    cand_length = ref_length = 0
+    for cand, ref in pairs:
+        for n in range(1, 5):
+            cand_grams = Counter(
+                tuple(cand[i : i + n]) for i in range(len(cand) - n + 1)
+            )
+            ref_grams = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
+            matches[n - 1] += sum(min(c, ref_grams[g]) for g, c in cand_grams.items())
+            totals[n - 1] += sum(cand_grams.values())
+        cand_length += len(cand)
+        ref_length += len(ref)
+    if cand_length == 0:
+        return 0.0
+    log_mean = 0.0
+    for m, tot in zip(matches, totals):
+        if tot == 0:
+            continue
+        if m == 0:
+            return 0.0
+        log_mean += math.log(m / tot) / 4
+    bp = min(1.0, math.exp(1.0 - ref_length / cand_length))
+    return 100.0 * bp * math.exp(log_mean)
 
 
 def oracle_wmd(

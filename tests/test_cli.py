@@ -667,6 +667,17 @@ class TestAnalyze:
         assert code == 1
         assert "--save-beams" in capsys.readouterr().err
 
+    def test_needs_only_the_vocabulary(self, workspace, trained, capsys):
+        assert decode_into(workspace, trained, "--save-beams") == 0
+        argv = ["analyze", "--corpus", str(workspace.corpus), *BASE_FLAGS, "--out", str(trained)]
+        for name in ("lm_regular.json", "lm_reverse.json"):
+            (trained / name).unlink()
+        assert main(argv) == 0
+        (trained / "vocab.txt").unlink()
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "run the train command first" in capsys.readouterr().err
+
 
 def corrupting(key, *value):
     """Delete ``key`` from a beam record (or its first beam member) or set it to ``value``."""

@@ -124,7 +124,7 @@ class TestVocabulary:
         path = tmp_path / "vocab.txt"
         vocab.save(path)
         loaded = Vocabulary.load(path)
-        assert list(loaded.tokens()) == list(vocab.tokens())
+        assert loaded.decode(range(loaded.size)) == vocab.decode(range(vocab.size))
         assert path.read_text(encoding="utf-8").splitlines()[0] == "<bos>\t0"
 
     def test_load_rejects_gap_in_ids(self, tmp_path):

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bidibeam.beam import Hypothesis, SearchParams, vbs_decode
@@ -22,7 +22,7 @@ from bidibeam.evaluation import (
 )
 
 from conftest import RandomTableLM, dummy_vocab
-from oracles import oracle_sentence_bleu4
+from oracles import oracle_corpus_bleu4, oracle_sentence_bleu4
 
 SENTENCES = st.lists(st.sampled_from("abcd"), min_size=1, max_size=7)
 
@@ -68,6 +68,16 @@ class TestCorpusBleu4:
     def test_empty_list_rejected(self):
         with pytest.raises(ParameterError):
             corpus_bleu4([])
+
+    # Candidates may be empty, and short ones leave the higher orders
+    # without n-grams; two words make most orders match somewhere.
+    @given(st.lists(st.tuples(st.lists(st.sampled_from("ab"), max_size=6),
+                              st.lists(st.sampled_from("ab"), min_size=1, max_size=7)),
+                    min_size=1, max_size=6))
+    @example([([], ["a"])])
+    @example([(["a", "b"], ["a", "b", "c"]), ([], ["d"])])
+    def test_matches_independent_reimplementation(self, pairs):
+        assert corpus_bleu4(pairs) == oracle_corpus_bleu4(pairs)
 
     @given(st.lists(st.tuples(SENTENCES, SENTENCES), min_size=1, max_size=6))
     def test_self_corpus_always_one_hundred(self, pairs):
@@ -143,8 +153,7 @@ class TestSentenceBleu4:
 
     @given(SENTENCES, SENTENCES)
     def test_matches_independent_reimplementation(self, cand, ref):
-        assert sentence_bleu4(cand, ref) == pytest.approx(
-            oracle_sentence_bleu4(cand, ref), abs=1e-12)
+        assert sentence_bleu4(cand, ref) == oracle_sentence_bleu4(cand, ref)
 
 
 class TestBestHypothesis:

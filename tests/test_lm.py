@@ -453,6 +453,10 @@ SCHEMA_FAULTS = [
     ("missing-suffix-context", lambda p: p["counts"][0][1].clear(), "'counts'"),
     ("count-sum-2**53",
      lambda p: _first_bucket(p, 1)[0].__setitem__(1, 2 ** 53), "'counts'"),
+    ("duplicate-context",
+     lambda p: p["counts"][0][1].append([[], [[5, 7]]]), "'counts'"),
+    ("duplicate-token",
+     lambda p: _first_bucket(p, 1).append([_first_bucket(p, 1)[0][0], 1]), "'counts'"),
 ]
 
 

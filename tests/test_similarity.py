@@ -33,8 +33,8 @@ from oracles import oracle_bleu_t, vertex_transport_cost
 TOKENS = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=8)
 
 
-def spec_bleu(t, order=4):
-    return SimilaritySpec(BLEU_T, max_length=t, ngram_order=order)
+def spec_bleu(t):
+    return SimilaritySpec(BLEU_T, max_length=t)
 
 
 class TestBpT:
@@ -62,20 +62,6 @@ class TestSimilaritySpec:
         with pytest.raises(ParameterError):
             SimilaritySpec("cosine", max_length=5)
 
-    def test_default_weights_are_uniform(self):
-        spec = SimilaritySpec(BLEU_T, max_length=5, ngram_order=4)
-        assert spec.weights == (0.25, 0.25, 0.25, 0.25)
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ParameterError):
-            SimilaritySpec(BLEU_T, max_length=5, ngram_order=2,
-                           weights=(0.9, 0.2))
-
-    def test_weights_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            SimilaritySpec(BLEU_T, max_length=5, ngram_order=2,
-                           weights=(1.0, 0.0))
-
     def test_wmd_requires_embeddings(self):
         with pytest.raises(ParameterError):
             SimilaritySpec(WMD_T, max_length=5)
@@ -97,10 +83,10 @@ class TestBleuT:
 
     def test_hand_example_with_smoothing(self):
         # p1 = 1/2 unsmoothed; the zero bigram precision smooths to
-        # (0+1)/(1+1); BP = 1, so the score is exp(log(1/2)) = 0.5.
-        spec = SimilaritySpec(BLEU_T, max_length=2, ngram_order=2)
-        assert bleu_t(["a", "b"], ["a", "c"], spec) == pytest.approx(
-            0.5, abs=1e-12)
+        # (0+1)/(1+1), and the empty trigram and four-gram orders to
+        # (0+1)/(0+1); BP = 1, so the score is (1/2 * 1/2) ** (1/4) = sqrt(1/2).
+        assert bleu_t(["a", "b"], ["a", "c"], spec_bleu(2)) == pytest.approx(
+            math.sqrt(0.5), abs=1e-12)
 
     def test_zero_unigram_overlap_scores_zero(self):
         spec = spec_bleu(4)
@@ -123,9 +109,7 @@ class TestBleuT:
 
     @given(TOKENS, TOKENS)
     def test_matches_independent_reimplementation(self, a, b):
-        got = bleu_t(a, b, spec_bleu(8))
-        want = oracle_bleu_t(a, b, 8)
-        assert got == pytest.approx(want, abs=1e-12)
+        assert bleu_t(a, b, spec_bleu(8)) == oracle_bleu_t(a, b, 8)
 
 
 class TestSmoothedPrecisions:

@@ -11,6 +11,7 @@ import random
 import re
 from dataclasses import dataclass
 from collections import Counter
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -28,6 +29,7 @@ UNK = "<unk>"
 
 RESERVED = (BOS, EOS, SEP, UNK)
 _RESERVED_SET = frozenset(RESERVED)
+_MARKER_IDS = frozenset((BOS_ID, EOS_ID, SEP_ID))
 
 # Punctuation marks split into standalone tokens.
 _TOKEN_RE = re.compile(r"[.!?,']|[^\s.!?,']+")
@@ -82,7 +84,7 @@ class Vocabulary:
         return self._id_to_surface[token_id]
 
     def encode(self, surfaces: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.id_for(s) for s in surfaces)
+        return tuple(map(self._surface_to_id.get, surfaces, repeat(UNK_ID)))
 
     def decode(self, ids: Iterable[int]) -> list[str]:
         return [self.surface_for(i) for i in ids]
@@ -127,7 +129,7 @@ class SentencePair:
         if not self.source or not self.target:
             raise ParameterError("sentence pair sides must be non-empty")
         for side in (self.source, self.target):
-            if any(t in (BOS_ID, EOS_ID, SEP_ID) for t in side):
+            if not _MARKER_IDS.isdisjoint(side):
                 raise ParameterError("sentence pairs must not contain marker ids")
 
 

@@ -8,14 +8,16 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .beam import DecodeOutput, Hypothesis
-from .corpus import SentencePair, Vocabulary, reverse_target
+from .corpus import SentencePair, Vocabulary
 from .errors import ParameterError
 from .similarity import (
     BLEU_ORDER,
     bp_t,
+    clip_counts,
     clipped_precision_counts,
     geometric_mean,
-    smoothed_precisions,
+    ngram_table,
+    smoothed_from_counts,
 )
 
 
@@ -29,7 +31,7 @@ class BleuAccumulator:
     reference_length: int = 0
 
     def add(self, candidate: Sequence, reference: Sequence) -> None:
-        matches, totals = clipped_precision_counts(candidate, reference, BLEU_ORDER)
+        matches, totals = clipped_precision_counts(candidate, reference)
         for n in range(BLEU_ORDER):
             self.matches[n] += matches[n]
             self.totals[n] += totals[n]
@@ -89,14 +91,24 @@ def distinct_n(sentences: Sequence[Sequence], n: int) -> float:
     return len(grams) / total_words
 
 
-def sentence_bleu4(candidate: Sequence, reference: Sequence) -> float:
-    """Sentence BLEU-4 with add-1 smoothing and the standard brevity penalty."""
+def _reference_table(reference: Sequence) -> Counter:
     if not reference:
         raise ParameterError("reference must be non-empty")
+    return ngram_table(reference)
+
+
+def _bleu4_against(candidate: Sequence, reference_table: Counter, reference_length: int) -> float:
+    """Sentence BLEU-4 of ``candidate`` against a reference given by its
+    ``ngram_table`` and length."""
     if not candidate:
         return 0.0
-    precisions = smoothed_precisions(candidate, reference, BLEU_ORDER)
-    return bp_t(len(candidate), len(reference)) * geometric_mean(precisions)
+    counts = clip_counts(ngram_table(candidate), len(candidate), reference_table)
+    return bp_t(len(candidate), reference_length) * geometric_mean(smoothed_from_counts(*counts))
+
+
+def sentence_bleu4(candidate: Sequence, reference: Sequence) -> float:
+    """Sentence BLEU-4 with add-1 smoothing and the standard brevity penalty."""
+    return _bleu4_against(candidate, _reference_table(reference), len(reference))
 
 
 def best_hypothesis(
@@ -106,13 +118,15 @@ def best_hypothesis(
 
     This is the ideal re-ranking oracle: an upper bound on what any
     beam re-scoring strategy could select.  Ties keep the lowest rank.
+    The reference's n-grams are counted once for the whole beam.
     """
     if not beam:
         raise ParameterError("beam must be non-empty")
+    table = _reference_table(reference)
     best_rank = 0
     best_score = -1.0
     for i, hyp in enumerate(beam):
-        score = sentence_bleu4(hyp.core(), reference)
+        score = _bleu4_against(hyp.core(), table, len(reference))
         if score > best_score:
             best_score = score
             best_rank = i
@@ -154,9 +168,11 @@ def word_position_frequency(
 ) -> list[tuple[str, int]]:
     """Most frequent target words at a given position from either end.
 
-    With order "reverse" the targets are reversed first, so position 1
+    With order "reverse" positions count from the end, so position 1
     counts sentence-final words; short sentences skip positions past
     their length.  Ties break lexicographically after descending count.
+    Token ids are counted first, then each distinct id is mapped to its
+    word once.
     """
     if position not in (1, 2, 3):
         raise ParameterError("position must be 1, 2 or 3")
@@ -164,10 +180,8 @@ def word_position_frequency(
         raise ParameterError("top_k must be >= 1")
     if order not in ("regular", "reverse"):
         raise ParameterError(f"unknown order {order!r}")
-    counts: Counter[str] = Counter()
-    for pair in pairs:
-        target = pair.target if order == "regular" else reverse_target(pair.target)
-        if len(target) >= position:
-            counts[vocab.surface_for(target[position - 1])] += 1
+    index = position - 1 if order == "regular" else -position
+    ids = Counter([pair.target[index] for pair in pairs if len(pair.target) >= position])
+    counts = {vocab.surface_for(token_id): count for token_id, count in ids.items()}
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:top_k]

@@ -13,6 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 from collections import Counter
+from itertools import chain
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -69,34 +70,41 @@ def bp_t(candidate_length: int, reference_length: int) -> float:
     return min(1.0, math.exp(1.0 - reference_length / candidate_length))
 
 
-def _ngram_counts(tokens: Sequence, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def ngram_table(tokens: Sequence) -> Counter:
+    """Every 1..BLEU_ORDER-gram of ``tokens`` in one table, keyed by the
+    gram's tuple, so its length is its order.  Each order's grams are
+    zipped from shifted slices and counted in C."""
+    return Counter(chain.from_iterable(
+        zip(*(tokens[k:] for k in range(n))) for n in range(1, BLEU_ORDER + 1)
+    ))
 
 
-def clipped_precision_counts(
-    hypothesis: Sequence, reference: Sequence, max_n: int
+def clip_counts(
+    hypothesis_table: Counter, hypothesis_length: int, reference_table: Counter
 ) -> tuple[list[int], list[int]]:
-    """Per-order clipped n-gram matches and hypothesis n-gram totals."""
-    matches: list[int] = []
-    totals: list[int] = []
-    for n in range(1, max_n + 1):
-        hyp_counts = _ngram_counts(hypothesis, n)
-        ref_counts = _ngram_counts(reference, n)
-        matches.append(sum(min(c, ref_counts[g]) for g, c in hyp_counts.items()))
-        totals.append(max(0, len(hypothesis) - n + 1))
+    """Per-order clipped n-gram matches and hypothesis n-gram totals, from
+    the two sentences' ``ngram_table``s."""
+    matches = [0] * BLEU_ORDER
+    for gram in hypothesis_table.keys() & reference_table.keys():
+        matches[len(gram) - 1] += min(hypothesis_table[gram], reference_table[gram])
+    totals = [max(0, hypothesis_length - n) for n in range(BLEU_ORDER)]
     return matches, totals
 
 
-def smoothed_precisions(
-    hypothesis: Sequence, reference: Sequence, max_n: int
-) -> list[float]:
+def clipped_precision_counts(
+    hypothesis: Sequence, reference: Sequence
+) -> tuple[list[int], list[int]]:
+    """Per-order clipped n-gram matches and hypothesis n-gram totals."""
+    return clip_counts(ngram_table(hypothesis), len(hypothesis), ngram_table(reference))
+
+
+def smoothed_from_counts(matches: Sequence[int], totals: Sequence[int]) -> list[float]:
     """Modified n-gram precisions with sentence-level add-1 smoothing.
 
     Whenever any raw precision is zero, orders >= 2 switch to
     (matches + 1) / (totals + 1); the unigram precision is never smoothed.
     Orders with no hypothesis n-grams at all count as vacuously perfect.
     """
-    matches, totals = clipped_precision_counts(hypothesis, reference, max_n)
     any_zero = any(t > 0 and m == 0 for m, t in zip(matches, totals))
     precisions = [matches[0] / totals[0]]
     for m, t in zip(matches[1:], totals[1:]):
@@ -105,6 +113,11 @@ def smoothed_precisions(
         else:
             precisions.append(m / t if t > 0 else 1.0)
     return precisions
+
+
+def smoothed_precisions(hypothesis: Sequence, reference: Sequence) -> list[float]:
+    """``smoothed_from_counts`` of the pair's clipped n-gram counts."""
+    return smoothed_from_counts(*clipped_precision_counts(hypothesis, reference))
 
 
 def geometric_mean(precisions: Sequence[float]) -> float:
@@ -122,7 +135,7 @@ def bleu_t(hypothesis: Sequence, reference: Sequence, spec: SimilaritySpec) -> f
     """
     if not hypothesis or not reference:
         raise ParameterError("bleu_t requires non-empty sequences")
-    precisions = smoothed_precisions(hypothesis, reference, BLEU_ORDER)
+    precisions = smoothed_precisions(hypothesis, reference)
     return bp_t(len(hypothesis), spec.max_length) * geometric_mean(precisions)
 
 

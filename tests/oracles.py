@@ -341,6 +341,40 @@ def oracle_corpus_bleu4(pairs: Sequence[tuple[Sequence, Sequence]]) -> float:
     return 100.0 * bp * math.exp(log_mean)
 
 
+def oracle_clipped_precision_counts(hyp: Sequence, ref: Sequence) -> tuple[list[int], list[int]]:
+    """Per-order clipped matches and hypothesis n-gram totals, one pair of
+    Counters per order."""
+    matches = []
+    totals = []
+    for n in range(1, 5):
+        hyp_grams = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
+        ref_grams = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
+        matches.append(sum(min(c, ref_grams[g]) for g, c in hyp_grams.items()))
+        totals.append(max(0, len(hyp) - n + 1))
+    return matches, totals
+
+
+def oracle_best_hypothesis(cores: Sequence[Sequence], ref: Sequence) -> int:
+    """1-based rank of the EOS-stripped beam member with the highest
+    sentence BLEU-4; ties keep the lowest rank."""
+    scores = [oracle_sentence_bleu4(core, ref) for core in cores]
+    return max(range(len(cores)), key=lambda i: (scores[i], -i)) + 1
+
+
+def oracle_word_position_frequency(
+    pairs, vocab, position: int, order: str = "regular", top_k: int = 50
+) -> list[tuple[str, int]]:
+    """Target words at ``position`` from the start (or, reversed, the end),
+    looked up one pair at a time; descending count, then the word."""
+    counts: Counter[str] = Counter()
+    for pair in pairs:
+        target = pair.target if order == "regular" else tuple(reversed(pair.target))
+        if len(target) >= position:
+            counts[vocab.surface_for(target[position - 1])] += 1
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return ranked[:top_k]
+
+
 def oracle_wmd(
     x_words: Sequence[str],
     y_words: Sequence[str],

@@ -7,6 +7,7 @@ whole file stays fast while still exercising the real file formats.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import shutil
@@ -17,12 +18,15 @@ import pytest
 
 from bidibeam import beam, bidi, cli
 from bidibeam.cli import main
+from bidibeam.corpus import Vocabulary, encode_pairs, load_corpus
 from bidibeam.synth import (
     corpus_words,
     synthetic_pairs,
     write_corpus_tsv,
     write_embeddings,
 )
+
+from oracles import oracle_best_hypothesis, oracle_corpus_bleu4, oracle_word_position_frequency
 
 # Small but non-trivial: 80 train / 10 validation / 10 test pairs.  The
 # interpolation leans on the trigram so decodes produce real sentences
@@ -657,6 +661,51 @@ class TestAnalyze:
         for order, position in groups:
             counts = [int(r[4]) for r in rows[1:] if (r[0], r[1]) == (order, position)]
             assert counts == sorted(counts, reverse=True)
+
+    def test_reports_equal_an_oracle_rebuild(self, workspace, analyzed):
+        """The three reports, rebuilt from the persisted beams and the corpus
+        with the oracles alone, equal the files analyze wrote."""
+        cells = []
+        for path in analyzed.glob("beams_*.jsonl"):
+            algorithm, nb = re.fullmatch(r"beams_(.+)_nb(\d+)\.jsonl", path.name).groups()
+            lines = path.read_text(encoding="utf-8").splitlines()
+            cells.append((algorithm, int(nb), [json.loads(line) for line in lines]))
+        cells.sort(key=lambda cell: cell[:2])
+        assert len(cells) == 4
+
+        def core(member):
+            return member["tokens"][:-1] if member["finished"] else member["tokens"]
+
+        ranks = [["algorithm", "beam_size", "rank", "count"]]
+        oracle = [["algorithm", "beam_size", "algorithm_bleu4", "oracle_bleu4"]]
+        for algorithm, nb, records in cells:
+            counts = Counter(r["selected_index"] for r in records)
+            size = max(len(r["beam"]) for r in records)
+            ranks += [[algorithm, nb, rank, counts[rank]] for rank in range(1, size + 1)]
+            selected, best = [], []
+            for r in records:
+                cores = [core(member) for member in r["beam"]]
+                pick = r["selected_index"] - 1 if r["algorithm"].startswith("bidia") else 0
+                selected.append((cores[pick], r["reference"]))
+                best.append((cores[oracle_best_hypothesis(cores, r["reference"]) - 1], r["reference"]))
+            oracle.append([algorithm, nb, f"{oracle_corpus_bleu4(selected):.6f}",
+                           f"{oracle_corpus_bleu4(best):.6f}"])
+
+        vocab = Vocabulary.load(analyzed / "vocab.txt")
+        pairs = encode_pairs(load_corpus(workspace.corpus), vocab)
+        positions = [["order", "position", "rank", "word", "count"]]
+        for order in ("regular", "reverse"):
+            for position in (1, 2, 3):
+                ranked = oracle_word_position_frequency(pairs, vocab, position, order)
+                positions += [[order, position, rank, word, count]
+                              for rank, (word, count) in enumerate(ranked, start=1)]
+
+        for name, rows in (("rank_histogram.csv", ranks), ("oracle_bleu.csv", oracle),
+                           ("word_position.csv", positions)):
+            want = io.StringIO()
+            csv.writer(want).writerows(rows)
+            with open(analyzed / name, encoding="utf-8", newline="") as handle:
+                assert handle.read() == want.getvalue(), name
 
     def test_without_beams_points_at_save_beams(self, workspace, tmp_path, capsys):
         out = tmp_path / "run"

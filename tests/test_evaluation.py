@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bidibeam.beam import Hypothesis, SearchParams, vbs_decode
-from bidibeam.corpus import EOS_ID, build_vocabulary, encode_pairs
+from bidibeam.corpus import EOS_ID, SentencePair, build_vocabulary, encode_pairs
 from bidibeam.errors import ParameterError
 from bidibeam.evaluation import (
     BleuAccumulator,
@@ -22,7 +22,12 @@ from bidibeam.evaluation import (
 )
 
 from conftest import RandomTableLM, dummy_vocab
-from oracles import oracle_corpus_bleu4, oracle_sentence_bleu4
+from oracles import (
+    oracle_best_hypothesis,
+    oracle_corpus_bleu4,
+    oracle_sentence_bleu4,
+    oracle_word_position_frequency,
+)
 
 SENTENCES = st.lists(st.sampled_from("abcd"), min_size=1, max_size=7)
 
@@ -180,18 +185,17 @@ class TestBestHypothesis:
         assert rank == 1
 
     def test_matches_naive_scan(self):
+        """Against the oracle's argmax, on beams with EOS-only members
+        (empty bodies) and with every other member repeated at the end."""
         rng = random.Random(5)
-        for _ in range(30):
-            beam = []
-            for _ in range(rng.randint(1, 8)):
-                body = tuple(rng.randint(4, 7) for _ in range(rng.randint(1, 6)))
-                beam.append(Hypothesis(body + (EOS_ID,), -1.0, True))
+        for _ in range(60):
+            bodies = [tuple(rng.randint(4, 7) for _ in range(rng.randint(0, 6)))
+                      for _ in range(rng.randint(1, 8))]
+            beam = [Hypothesis(b + (EOS_ID,), -1.0, True) for b in bodies + bodies[::2]]
             reference = tuple(rng.randint(4, 7) for _ in range(rng.randint(1, 6)))
             hyp, rank = best_hypothesis(beam, reference)
-            scores = [oracle_sentence_bleu4(h.core(), reference) for h in beam]
-            want = max(range(len(beam)), key=lambda i: (scores[i], -i))
-            assert rank - 1 == want
-            assert hyp == beam[want]
+            assert rank == oracle_best_hypothesis([h.core() for h in beam], reference)
+            assert hyp is beam[rank - 1]
 
     def test_oracle_dominates_rank_one(self, vocab6):
         for seed in range(10):
@@ -289,6 +293,27 @@ class TestWordPositionFrequency:
     def test_short_sentences_skip_position(self):
         pairs, vocab = self.corpus([["solo"], ["one", "two"]])
         assert word_position_frequency(pairs, vocab, 3) == []
+
+    @given(st.lists(st.lists(st.sampled_from("abcde"), min_size=1, max_size=6),
+                    min_size=1, max_size=30),
+           st.sampled_from(["regular", "reverse"]),
+           st.integers(1, 3),
+           st.integers(1, 5))
+    def test_matches_oracle(self, targets, order, position, top_k):
+        pairs, vocab = self.corpus(targets)
+        assert (word_position_frequency(pairs, vocab, position, order, top_k)
+                == oracle_word_position_frequency(pairs, vocab, position, order, top_k))
+
+    @pytest.mark.parametrize("order", ["regular", "reverse"])
+    def test_out_of_range_id_raises_like_oracle(self, order):
+        _, vocab = self.corpus([["a"], ["b"]])
+        pairs = [SentencePair((4,), target) for target in
+                 [(4, 5), (5, 9, 8, 4), (10, 8, 5), (4, 8, 8, 9), (9, 4)]]
+        with pytest.raises(ParameterError) as want:
+            oracle_word_position_frequency(pairs, vocab, 2, order)
+        with pytest.raises(ParameterError) as got:
+            word_position_frequency(pairs, vocab, 2, order)
+        assert str(got.value) == str(want.value)
 
     def test_position_validation(self):
         pairs, vocab = self.corpus([["a"]])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bidibeam.errors import DegeneratePairError, FormatError, ParameterError
@@ -17,6 +17,7 @@ from bidibeam.similarity import (
     TransportProblem,
     bleu_t,
     bp_t,
+    clipped_precision_counts,
     default_stopwords,
     dissimilarity,
     dissimilarity_lower_bound,
@@ -28,7 +29,7 @@ from bidibeam.similarity import (
 )
 
 from conftest import dummy_vocab, wmd_measures
-from oracles import oracle_bleu_t, vertex_transport_cost
+from oracles import oracle_bleu_t, oracle_clipped_precision_counts, vertex_transport_cost
 
 TOKENS = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=8)
 
@@ -112,18 +113,30 @@ class TestBleuT:
         assert bleu_t(a, b, spec_bleu(8)) == oracle_bleu_t(a, b, 8)
 
 
+class TestClippedPrecisionCounts:
+    @given(st.lists(st.integers(4, 6), max_size=9), st.lists(st.integers(4, 6), max_size=9))
+    @example([], [4, 5])
+    @example([4, 4, 4], [4, 4])
+    @example([4, 5, 4, 5, 4, 5], [4, 5, 4, 5, 4])
+    def test_matches_per_order_counters(self, hypothesis, reference):
+        assert (clipped_precision_counts(hypothesis, reference)
+                == oracle_clipped_precision_counts(hypothesis, reference))
+
+    def test_repeated_grams_are_clipped(self):
+        assert clipped_precision_counts("aaaa", "aa") == ([2, 1, 0, 0], [4, 3, 2, 1])
+
+
 class TestSmoothedPrecisions:
     def test_unigram_never_smoothed(self):
-        precisions = smoothed_precisions(["a", "b"], ["a", "c"], 2)
-        assert precisions[0] == 0.5
-        assert precisions[1] == 0.5
+        precisions = smoothed_precisions(["a", "b"], ["a", "c"])
+        assert precisions == [0.5, 0.5, 1.0, 1.0]
 
     def test_no_smoothing_when_all_orders_match(self):
-        precisions = smoothed_precisions(["a", "b"], ["a", "b"], 2)
-        assert precisions == [1.0, 1.0]
+        precisions = smoothed_precisions(["a", "b"], ["a", "b"])
+        assert precisions == [1.0, 1.0, 1.0, 1.0]
 
     def test_vacuous_orders_count_as_perfect(self):
-        precisions = smoothed_precisions(["a"], ["a"], 4)
+        precisions = smoothed_precisions(["a"], ["a"])
         assert precisions == [1.0, 1.0, 1.0, 1.0]
 
 

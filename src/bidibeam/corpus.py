@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass
 from collections import Counter
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,7 +31,7 @@ _RESERVED_SET = frozenset(RESERVED)
 _MARKER_IDS = frozenset((BOS_ID, EOS_ID, SEP_ID))
 
 # Punctuation marks split into standalone tokens.
-_TOKEN_RE = re.compile(r"[.!?,']|[^\s.!?,']+")
+_SPLIT_MARKS = ".!?,'"
 
 
 def read_user_text(path: str | Path, error: type[BidibeamError] = FormatError) -> str:
@@ -132,6 +131,14 @@ class SentencePair:
             if not _MARKER_IDS.isdisjoint(side):
                 raise ParameterError("sentence pairs must not contain marker ids")
 
+    @classmethod
+    def _checked_already(cls, source: tuple[int, ...], target: tuple[int, ...]) -> "SentencePair":
+        """A pair whose sides the caller has checked as ``__post_init__`` would."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "source", source)
+        object.__setattr__(pair, "target", target)
+        return pair
+
 
 @dataclass(frozen=True)
 class CorpusSplit:
@@ -142,9 +149,17 @@ class CorpusSplit:
     test: tuple
 
 
+def _spaced(text: str) -> str:
+    """Lowercased text with a space on each side of every . ! ? , ' mark."""
+    text = text.lower()
+    for mark in _SPLIT_MARKS:
+        text = text.replace(mark, f" {mark} ")
+    return text
+
+
 def tokenize(line: str) -> list[str]:
     """Lowercase and split on whitespace, with . ! ? , ' as standalone tokens."""
-    return _TOKEN_RE.findall(line.lower())
+    return _spaced(line).split()
 
 
 def reverse_target(target: Sequence) -> tuple:
@@ -164,10 +179,7 @@ def build_vocabulary(
         raise ParameterError("min_count must be >= 1")
     if not pairs:
         raise ParameterError("cannot build a vocabulary from an empty corpus")
-    freq: Counter[str] = Counter()
-    for source, target in pairs:
-        freq.update(source)
-        freq.update(target)
+    freq = Counter(chain.from_iterable(chain.from_iterable(pairs)))
     kept = sorted(
         (s for s, c in freq.items() if c >= min_count),
         key=lambda s: (-freq[s], s),
@@ -178,10 +190,20 @@ def build_vocabulary(
 def encode_pairs(
     pairs: Iterable[tuple[Sequence[str], Sequence[str]]], vocab: Vocabulary
 ) -> list[SentencePair]:
-    return [
-        SentencePair(vocab.encode(source), vocab.encode(target))
-        for source, target in pairs
-    ]
+    """Encode every pair, checking the whole batch as ``SentencePair`` would.
+
+    All surfaces are looked up in one pass and each side is a slice of the
+    result.  A batch with an empty side or a marker id raises the error
+    ``SentencePair`` raises for its first bad pair.
+    """
+    surfaces = list(chain.from_iterable(pairs))  # source, target, source, ...
+    ends = list(accumulate(map(len, surfaces)))
+    ids = vocab.encode(chain.from_iterable(surfaces))
+    sides = list(map(ids.__getitem__, map(slice, [0, *ends], ends)))
+    sources, targets = sides[0::2], sides[1::2]
+    if not (all(sides) and _MARKER_IDS.isdisjoint(ids)):
+        list(map(SentencePair, sources, targets))  # raises at the first bad pair
+    return list(map(SentencePair._checked_already, sources, targets))
 
 
 def load_corpus(
@@ -190,21 +212,32 @@ def load_corpus(
     """Read a parallel corpus file into tokenized (source, target) pairs.
 
     TSV: one pair per line, exactly one TAB. JSONL: one object per line with
-    "source" and "target" string fields. File order is preserved.  A token
-    that spells a reserved marker (``<bos>``, ``<eos>``, ``<sep>``, ``<unk>``,
-    in any case) is rejected, since the vocabulary reserves those surfaces.
+    "source" and "target" string fields. Lines end at ``\\n``, ``\\r\\n`` or
+    ``\\r``; any other whitespace only separates tokens. File order is
+    preserved.  A token that spells a reserved marker (``<bos>``, ``<eos>``,
+    ``<sep>``, ``<unk>``, in any case) is rejected, since the vocabulary
+    reserves those surfaces.
     """
     if fmt not in ("tsv", "jsonl"):
         raise ParameterError(f"unknown corpus format {fmt!r}")
     text = read_user_text(path)
+    tsv = fmt == "tsv"
+    if tsv:
+        # The whole file is tokenized at once; no character lowercases to a
+        # TAB, a line break or a split mark, so lines and fields are the same.
+        text = _spaced(text)
+    # A TSV file can hold a marker only if its lowered text holds a "<".
+    check_markers = not tsv or "<" in text
     pairs: list[tuple[list[str], list[str]]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.isspace():
             continue
-        if fmt == "tsv":
-            if line.count("\t") != 1:
+        if tsv:
+            fields = line.split("\t")
+            if len(fields) != 2:
                 raise FormatError(f"{path}: line {lineno}: expected exactly one TAB")
-            source_text, target_text = line.split("\t")
+            source, target = fields[0].split(), fields[1].split()
         else:
             try:
                 record = json.loads(line)
@@ -214,12 +247,13 @@ def load_corpus(
                 raise FormatError(
                     f"{path}: line {lineno}: expected fields 'source' and 'target'"
                 )
-            source_text, target_text = record["source"], record["target"]
-        source = tokenize(source_text)
-        target = tokenize(target_text)
+            for field in ("source", "target"):
+                if not isinstance(record[field], str):
+                    raise FormatError(f"{path}: line {lineno}: field {field!r} must be a string")
+            source, target = tokenize(record["source"]), tokenize(record["target"])
         if not source or not target:
             raise FormatError(f"{path}: line {lineno}: empty source or target field")
-        if not (_RESERVED_SET.isdisjoint(source) and _RESERVED_SET.isdisjoint(target)):
+        if check_markers and not (_RESERVED_SET.isdisjoint(source) and _RESERVED_SET.isdisjoint(target)):
             marker = next(w for w in source + target if w in _RESERVED_SET)
             raise FormatError(f"{path}: line {lineno}: reserved marker {marker!r} in corpus text")
         pairs.append((source, target))

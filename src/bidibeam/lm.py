@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 from abc import ABC, abstractmethod
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -113,6 +114,15 @@ class _Counts(NamedTuple):
         keys = memoryview(self.keys)  # binary search over Python ints: no numpy call per probe
         row = bisect.bisect_left(keys, key)
         return row if row < len(keys) and keys[row] == key else None
+
+
+def _spread(starts: np.ndarray, lengths: np.ndarray, backwards: bool = False) -> np.ndarray:
+    """Positions ``starts[i] + k`` for ``0 <= k < lengths[i]``, run by run;
+    within each run ``k`` counts down instead when ``backwards``."""
+    offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    if backwards:
+        offsets = np.repeat(lengths - 1, lengths) - offsets
+    return np.repeat(starts, lengths) + offsets
 
 
 class ConditionalNGramLM(LanguageModel):
@@ -218,22 +228,29 @@ class ConditionalNGramLM(LanguageModel):
         """Count every order's (context, token) windows over all streams at once."""
         if not pairs:
             raise ParameterError("cannot train on an empty corpus")
-        streams = [
-            (BOS_ID, *pair.source, SEP_ID,
-             *(pair.target if direction == REGULAR else reverse_target(pair.target)), EOS_ID)
-            for pair in pairs
-        ]
-        stream = np.fromiter(itertools.chain.from_iterable(streams), np.int64)
+        sources = list(map(attrgetter("source"), pairs))
+        targets = list(map(attrgetter("target"), pairs))
+        source_lengths = np.fromiter(map(len, sources), np.int64, len(pairs))
+        target_lengths = np.fromiter(map(len, targets), np.int64, len(pairs))
+        # Stream i is [BOS, source..., SEP, target'..., EOS] from starts[i].
+        lengths = source_lengths + target_lengths + 3
+        starts = np.cumsum(lengths) - lengths
+        first = starts + source_lengths + 2  # the first predicted position
+        stream = np.empty(int(lengths.sum()), np.int64)
+        stream[starts] = BOS_ID
+        stream[first - 1] = SEP_ID
+        stream[starts + lengths - 1] = EOS_ID
+        stream[_spread(starts + 1, source_lengths)] = np.fromiter(
+            itertools.chain.from_iterable(sources), np.int64, source_lengths.sum())
+        stream[_spread(first, target_lengths, direction == REVERSE)] = np.fromiter(
+            itertools.chain.from_iterable(targets), np.int64, target_lengths.sum())
         v = vocab.size
         if stream.min() < 0 or stream.max() >= v:
             raise VocabularyMismatchError(f"training ids fall outside vocabulary of size {v}")
-        lengths = np.fromiter(map(len, streams), np.int64, len(streams))
-        # Each position's distance from its stream's BOS.  Only positions
-        # after SEP are predicted.
-        depth = np.arange(len(stream)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        first = np.fromiter((2 + len(pair.source) for pair in pairs), np.int64, len(pairs))
-        at = np.flatnonzero(depth >= np.repeat(first, lengths))
-        depth, token = depth[at], stream[at]
+        # Only positions after SEP are predicted; depth is each one's
+        # distance from its stream's BOS.
+        at = _spread(first, target_lengths + 1)
+        depth, token = at - np.repeat(starts, target_lengths + 1), stream[at]
         tables = []
         keys = np.zeros(len(at), np.int64)
         for o in range(1, order + 1):

@@ -2,7 +2,8 @@
 
 Everything here is written from the defining formulas, on purpose without
 reusing the library's helpers: n-gram counting one position at a time,
-exhaustive decode enumeration, a transportation-polytope vertex solver over
+exhaustive decode enumeration, corpus reading one line and one field at a
+time with a tokenizing regex, a transportation-polytope vertex solver over
 exact rationals, and from-scratch sentence similarity used to cross-check
 agreement decoding.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -104,6 +106,50 @@ def reference_vbs(model, source, v: int, b: int, t: int, alpha: float):
         expansions=expansions,
         sort_events=sort_events,
     )
+
+
+_TOKEN_RE = re.compile(r"[.!?,']|[^\s.!?,']+")
+_LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
+_MARKERS = ("<bos>", "<eos>", "<sep>", "<unk>")
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    """Lowercase, then every . ! ? , ' alone and every run of other
+    non-whitespace characters is a token."""
+    return _TOKEN_RE.findall(text.lower())
+
+
+def oracle_load_corpus(text: str, fmt: str):
+    """The (source, target) token lists of a corpus text, read one line and
+    one field at a time, or the message of its first bad line (without the
+    file name) as a string.  Lines end at \\n, \\r\\n or \\r."""
+    pairs = []
+    for lineno, line in enumerate(_LINE_BREAK_RE.split(text), start=1):
+        if not line.strip():
+            continue
+        if fmt == "tsv":
+            if line.count("\t") != 1:
+                return f"line {lineno}: expected exactly one TAB"
+            fields = line.split("\t")
+        else:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                return f"line {lineno}: bad JSON ({exc.msg})"
+            if not isinstance(record, dict) or "source" not in record or "target" not in record:
+                return f"line {lineno}: expected fields 'source' and 'target'"
+            fields = [record["source"], record["target"]]
+            for name, field in zip(("source", "target"), fields):
+                if not isinstance(field, str):
+                    return f"line {lineno}: field {name!r} must be a string"
+        source, target = (oracle_tokenize(field) for field in fields)
+        if not source or not target:
+            return f"line {lineno}: empty source or target field"
+        for word in source + target:
+            if word in _MARKERS:
+                return f"line {lineno}: reserved marker {word!r} in corpus text"
+        pairs.append((source, target))
+    return pairs or "corpus file contains no pairs"
 
 
 def reference_ngram_counts(pairs, order: int, direction: str) -> dict:

@@ -1,9 +1,13 @@
 """Tokenization, vocabulary, corpus loading, and split behavior."""
 
 import json
+import re
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidibeam.corpus import (
@@ -23,6 +27,44 @@ from bidibeam.corpus import (
     split_corpus,
     tokenize,
 )
+from oracles import oracle_load_corpus, oracle_tokenize
+
+EVERY_CHARACTER = "".join(map(chr, range(sys.maxunicode + 1)))
+
+# Pieces of corpus text: final-sigma contexts, a capital that lowercases to
+# two characters, every split mark, line breaks and the whitespace that
+# str.splitlines also breaks at, harmless "<" and spelled markers.
+PIECES = ["a", "B", "z", "Σ", "ΑΣ", "σ", "İ", "'", ".", "!", "?", ",", " ", "\t",
+          "\r", "\n", "\r\n", "\x0c", "\x1c", "\x85", "\u2028", "<", ">",
+          "a<b", "<bos>", "<EOS>", "<Unk>"]
+FIELD_PIECES = [p for p in PIECES if not set(p) & set("\t\r\n")]
+
+
+def _field(pieces, min_size=0):
+    return st.lists(st.sampled_from(pieces), min_size=min_size, max_size=6).map("".join)
+
+
+# Mostly well-formed lines (two fields, one TAB, a line break), mixed with
+# raw runs of pieces that can put a TAB, a break or a marker anywhere.
+_LINE = st.one_of(
+    st.builds(lambda s, t, end: f"{s}\t{t}{end}", _field(FIELD_PIECES, 1),
+              _field(FIELD_PIECES, 1), st.sampled_from(["\n", "\r\n", "\r"])),
+    _field(PIECES),
+)
+CORPUS_TEXT = st.lists(_LINE, min_size=1, max_size=8).map("".join)
+
+
+def assert_loads_like_oracle(text: str, fmt: str) -> None:
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / f"corpus.{fmt}"
+        path.write_bytes(text.encode("utf-8"))
+        expected = oracle_load_corpus(text, fmt)
+        if isinstance(expected, str):
+            with pytest.raises(FormatError) as info:
+                load_corpus(path, fmt)
+            assert str(info.value) == f"{path}: {expected}"
+        else:
+            assert load_corpus(path, fmt) == expected
 
 
 class TestTokenize:
@@ -49,6 +91,26 @@ class TestTokenize:
             assert token
             assert token == token.lower()
             assert not any(ch.isspace() for ch in token)
+
+    @given(st.one_of(st.text(), _field(PIECES)))
+    def test_matches_regex_oracle(self, line):
+        assert tokenize(line) == oracle_tokenize(line)
+
+
+class TestTokenizerFacts:
+    """What reading a whole file at once relies on."""
+
+    def test_regex_and_split_whitespace_are_one_set(self):
+        regex = set(re.findall(r"\s", EVERY_CHARACTER))
+        split = set(EVERY_CHARACTER) - set("".join(EVERY_CHARACTER.split()))
+        assert regex == split
+        assert len(split) == 29
+
+    def test_lowercasing_makes_no_break_tab_mark_or_angle_bracket(self):
+        structural = set("\t\n\r<" + ".!?,'")
+        made = {ch for ch in EVERY_CHARACTER
+                if ch not in structural and structural & set(ch.lower())}
+        assert made == set()
 
 
 class TestReverseTarget:
@@ -166,6 +228,27 @@ class TestEncodePairs:
         with pytest.raises(ParameterError):
             encode_pairs([([], ["b"])], vocab)
 
+    def test_marker_ids_rejected_from_list_pairs(self):
+        vocab = build_vocabulary([(["a"], ["b"])])
+        with pytest.raises(ParameterError, match="marker ids"):
+            encode_pairs([(["a"], ["b"]), (["a"], ["b", "<eos>"])], vocab)
+        with pytest.raises(ParameterError, match="marker ids"):
+            encode_pairs([(["<sep>"], ["b"])], vocab)
+
+    def test_first_bad_pair_names_the_error(self):
+        vocab = build_vocabulary([(["a"], ["b"])])
+        with pytest.raises(ParameterError, match="marker ids"):
+            encode_pairs([(["a"], ["b"]), (["a"], ["<bos>"]), ([], ["b"])], vocab)
+        with pytest.raises(ParameterError, match="non-empty"):
+            encode_pairs([(["a"], ["b"]), (["a"], []), (["a"], ["<bos>"])], vocab)
+
+    @given(st.lists(st.tuples(*[st.lists(st.sampled_from(["a", "b", "zebra"]), min_size=1,
+                                         max_size=4)] * 2), max_size=6))
+    def test_equals_pair_by_pair_construction(self, pairs):
+        vocab = build_vocabulary([(["a"], ["b"])])
+        expected = [SentencePair(vocab.encode(s), vocab.encode(t)) for s, t in pairs]
+        assert encode_pairs(iter(pairs), vocab) == expected
+
     def test_loader_rejects_blank_field_with_line(self, tmp_path):
         path = tmp_path / "corpus.tsv"
         path.write_text("a\tb\n \tb\n", encoding="utf-8")
@@ -231,6 +314,74 @@ class TestLoadCorpus:
         with pytest.raises(FormatError) as info:
             load_corpus(path, "tsv")
         assert str(info.value) == f"{path}: line 2: not valid UTF-8 (byte 0xff)"
+
+
+class TestLoadCorpusOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(CORPUS_TEXT)
+    def test_tsv_matches_line_by_line_oracle(self, text):
+        assert_loads_like_oracle(text, "tsv")
+
+    _VALUE = st.one_of(_field(FIELD_PIECES), st.integers(), st.none(),
+                       st.lists(st.just("a"), max_size=1))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.dictionaries(st.sampled_from(["source", "target", "other"]),
+                                              _VALUE),
+                              st.booleans(), st.sampled_from(["\n", "\r\n", "\r"])),
+                    max_size=5))
+    def test_jsonl_matches_line_by_line_oracle(self, records):
+        text = "".join(json.dumps(record, ensure_ascii=escaped) + end
+                       for record, escaped, end in records)
+        assert_loads_like_oracle(text, "jsonl")
+
+    @pytest.mark.parametrize("inside", ["\x0c", "\u2028", "\x0b", "\x85", "\x1d"])
+    def test_only_newlines_end_a_line(self, tmp_path, inside):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(f"a{inside}b\tc{inside}d\nno tab\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            load_corpus(path, "tsv")
+        assert str(info.value) == f"{path}: line 2: expected exactly one TAB"
+        path.write_text(f"a{inside}b\tc{inside}d\n", encoding="utf-8")
+        assert load_corpus(path, "tsv") == [(["a", "b"], ["c", "d"])]
+
+    def test_carriage_returns_end_lines(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(b"a\tb\r\rc\td\r\ne\tf")
+        assert load_corpus(path, "tsv") == [(["a"], ["b"]), (["c"], ["d"]), (["e"], ["f"])]
+
+    # One row per error kind: format, file text, message after the file name.
+    ERRORS = [
+        ("tsv", "a\tb\nno tab\n", "line 2: expected exactly one TAB"),
+        ("tsv", "a\tb\tc\n", "line 1: expected exactly one TAB"),
+        ("tsv", "a\tb\n\n  \t \na\t.\n!\t \n", "line 5: empty source or target field"),
+        ("tsv", "a\tb\nhi\tsee <Eos>\n", "line 2: reserved marker '<eos>' in corpus text"),
+        ("tsv", "a<b\tc>\n<x>\ty\nd\t<sep>\n", "line 3: reserved marker '<sep>' in corpus text"),
+        ("tsv", "a\t<bos>\nno tab\n", "line 1: reserved marker '<bos>' in corpus text"),
+        ("tsv", "<unk>\t\n", "line 1: empty source or target field"),
+        ("tsv", "\n \t \n\x0c\n", "corpus file contains no pairs"),
+        ("tsv", "", "corpus file contains no pairs"),
+        ("jsonl", '{"source": "a", "target": "b"}\nnot json\n', "line 2: bad JSON (Expecting value)"),
+        ("jsonl", '["a", "b"]\n', "line 1: expected fields 'source' and 'target'"),
+        ("jsonl", '{"source": "a"}\n', "line 1: expected fields 'source' and 'target'"),
+        ("jsonl", '{"source": 5, "target": "b"}\n', "line 1: field 'source' must be a string"),
+        ("jsonl", '{"source": "a", "target": ["b"]}\n', "line 1: field 'target' must be a string"),
+        ("jsonl", '{"source": null, "target": null}\n', "line 1: field 'source' must be a string"),
+        ("jsonl", '{"source": "a", "target": " , "}\n{"source": "", "target": "b"}\n',
+         "line 2: empty source or target field"),
+        ("jsonl", '{"source": "a<b", "target": "\\u003cBOS>"}\n',
+         "line 1: reserved marker '<bos>' in corpus text"),
+        ("jsonl", "\n\n", "corpus file contains no pairs"),
+    ]
+
+    @pytest.mark.parametrize("fmt, text, message", ERRORS)
+    def test_first_bad_line_is_named(self, tmp_path, fmt, text, message):
+        path = tmp_path / f"corpus.{fmt}"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(FormatError) as info:
+            load_corpus(path, fmt)
+        assert str(info.value) == f"{path}: {message}"
+        assert oracle_load_corpus(text, fmt) == message
 
 
 class TestSplitCorpus:

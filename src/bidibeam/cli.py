@@ -28,6 +28,7 @@ from .corpus import (
     build_vocabulary,
     encode_pairs,
     load_corpus,
+    numbered_lines,
     read_user_text,
     split_corpus,
 )
@@ -174,7 +175,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         text = read_user_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in numbered_lines(text):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -482,7 +483,7 @@ def _load_beam_records(path: Path, vocab_size: int) -> list[SimpleNamespace]:
     """Read a persisted beam file, checking each record as it is read."""
     ids = frozenset(range(vocab_size))
     records = []
-    for lineno, line in enumerate(read_user_text(path, ConfigError).splitlines(), start=1):
+    for lineno, line in numbered_lines(read_user_text(path, ConfigError)):
         if not line:
             continue
         try:
@@ -565,6 +566,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
             for rank, count in enumerate(histogram.counts, start=1):
                 writer.writerow((algorithm, nb, rank, count))
 
+    # One BLEU memo for every cell: cells share beams and references, and a
+    # selected member is one its beam's oracle search has already counted.
+    bleu_memo: dict = {}
     with open(out / "oracle_bleu.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(ORACLE_HEADER)
@@ -576,15 +580,15 @@ def cmd_analyze(cfg: RunConfig) -> int:
                 selected = beam[0]
                 if record.algorithm.startswith("bidia"):
                     selected = beam[record.selected_index - 1]
-                best, _ = best_hypothesis(beam, reference)
+                best, _ = best_hypothesis(beam, reference, bleu_memo)
                 algo_pairs.append((selected.core(), reference))
                 oracle_pairs.append((best.core(), reference))
             writer.writerow(
                 (
                     algorithm,
                     nb,
-                    f"{corpus_bleu4(algo_pairs):.6f}",
-                    f"{corpus_bleu4(oracle_pairs):.6f}",
+                    f"{corpus_bleu4(algo_pairs, bleu_memo):.6f}",
+                    f"{corpus_bleu4(oracle_pairs, bleu_memo):.6f}",
                 )
             )
 

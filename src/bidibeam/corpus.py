@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from collections import Counter
 from itertools import accumulate, chain, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BidibeamError, FormatError, ParameterError
 
@@ -34,6 +34,21 @@ _MARKER_IDS = frozenset((BOS_ID, EOS_ID, SEP_ID))
 _SPLIT_MARKS = ".!?,'"
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, split as ``numbered_lines`` describes."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number from 1, line) for each line of a user file's text.
+
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``; any other line-break
+    character (``\\x0b``, ``\\x85``, U+2028, ...) is part of the line.  The
+    text after the last break, even if empty, is one more line.
+    """
+    return enumerate(_lines(text), start=1)
+
+
 def read_user_text(path: str | Path, error: type[BidibeamError] = FormatError) -> str:
     """Read a user-supplied file as UTF-8.
 
@@ -44,7 +59,8 @@ def read_user_text(path: str | Path, error: type[BidibeamError] = FormatError) -
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # Every byte before the first bad one decodes.
+        line = len(_lines(data[: exc.start].decode("utf-8")))
         raise error(
             f"{path}: line {line}: not valid UTF-8 (byte {data[exc.start]:#04x})"
         ) from None
@@ -95,7 +111,7 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         surfaces: list[str] = []
-        for lineno, line in enumerate(read_user_text(path).splitlines(), start=1):
+        for lineno, line in numbered_lines(read_user_text(path)):
             if not line:
                 continue
             parts = line.split("\t")
@@ -212,8 +228,8 @@ def load_corpus(
     """Read a parallel corpus file into tokenized (source, target) pairs.
 
     TSV: one pair per line, exactly one TAB. JSONL: one object per line with
-    "source" and "target" string fields. Lines end at ``\\n``, ``\\r\\n`` or
-    ``\\r``; any other whitespace only separates tokens. File order is
+    "source" and "target" string fields. Lines end as ``numbered_lines``
+    says; any other whitespace only separates tokens. File order is
     preserved.  A token that spells a reserved marker (``<bos>``, ``<eos>``,
     ``<sep>``, ``<unk>``, in any case) is rejected, since the vocabulary
     reserves those surfaces.
@@ -229,8 +245,7 @@ def load_corpus(
     # A TSV file can hold a marker only if its lowered text holds a "<".
     check_markers = not tsv or "<" in text
     pairs: list[tuple[list[str], list[str]]] = []
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in numbered_lines(text):
         if not line or line.isspace():
             continue
         if tsv:

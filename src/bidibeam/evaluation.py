@@ -14,11 +14,42 @@ from .similarity import (
     BLEU_ORDER,
     bp_t,
     clip_counts,
-    clipped_precision_counts,
     geometric_mean,
     ngram_table,
     smoothed_from_counts,
 )
+
+# A BLEU memo maps a (candidate, reference) pair of token tuples to the
+# pair's clipped n-gram matches and candidate n-gram totals.  Every entry
+# is a pure function of its key, so one memo can be shared by any number
+# of calls; a call given none uses a fresh one.
+BleuMemo = dict[tuple[tuple, tuple], tuple[list[int], list[int]]]
+
+
+def _counts(
+    candidate: tuple, reference: tuple, memo: BleuMemo, reference_table: Counter | None = None
+) -> tuple[list[int], list[int]]:
+    """The memo's entry for one pair, counted on a miss against
+    ``reference_table`` (the reference's ``ngram_table``, counted here when
+    not given)."""
+    key = (candidate, reference)
+    entry = memo.get(key)
+    if entry is None:
+        if reference_table is None:
+            reference_table = ngram_table(reference)
+        entry = memo[key] = clip_counts(ngram_table(candidate), len(candidate), reference_table)
+    return entry
+
+
+def _bleu4(
+    candidate_length: int, reference_length: int, matches: list[int], totals: list[int]
+) -> float:
+    """Sentence BLEU-4 from a pair's lengths and clipped counts."""
+    if not candidate_length:
+        return 0.0
+    return bp_t(candidate_length, reference_length) * geometric_mean(
+        smoothed_from_counts(matches, totals)
+    )
 
 
 @dataclass
@@ -30,8 +61,9 @@ class BleuAccumulator:
     candidate_length: int = 0
     reference_length: int = 0
 
-    def add(self, candidate: Sequence, reference: Sequence) -> None:
-        matches, totals = clipped_precision_counts(candidate, reference)
+    def add(self, candidate: Sequence, reference: Sequence, memo: BleuMemo | None = None) -> None:
+        """Count one pair, looking its counts up in ``memo`` first."""
+        matches, totals = _counts(tuple(candidate), tuple(reference), {} if memo is None else memo)
         for n in range(BLEU_ORDER):
             self.matches[n] += matches[n]
             self.totals[n] += totals[n]
@@ -60,13 +92,18 @@ class BleuAccumulator:
         return 100.0 * penalty * geometric_mean(precisions)
 
 
-def corpus_bleu4(pairs: Sequence[tuple[Sequence, Sequence]]) -> float:
-    """Corpus BLEU-4 over (candidate, reference) pairs, both EOS-stripped."""
+def corpus_bleu4(
+    pairs: Sequence[tuple[Sequence, Sequence]], memo: BleuMemo | None = None
+) -> float:
+    """Corpus BLEU-4 over (candidate, reference) pairs, both EOS-stripped;
+    each distinct pair is counted once per ``memo``."""
     if not pairs:
         raise ParameterError("corpus BLEU needs at least one pair")
+    if memo is None:
+        memo = {}
     acc = BleuAccumulator()
     for candidate, reference in pairs:
-        acc.add(candidate, reference)
+        acc.add(candidate, reference, memo)
     return acc.score()
 
 
@@ -91,42 +128,42 @@ def distinct_n(sentences: Sequence[Sequence], n: int) -> float:
     return len(grams) / total_words
 
 
-def _reference_table(reference: Sequence) -> Counter:
-    if not reference:
-        raise ParameterError("reference must be non-empty")
-    return ngram_table(reference)
-
-
-def _bleu4_against(candidate: Sequence, reference_table: Counter, reference_length: int) -> float:
-    """Sentence BLEU-4 of ``candidate`` against a reference given by its
-    ``ngram_table`` and length."""
-    if not candidate:
-        return 0.0
-    counts = clip_counts(ngram_table(candidate), len(candidate), reference_table)
-    return bp_t(len(candidate), reference_length) * geometric_mean(smoothed_from_counts(*counts))
-
-
 def sentence_bleu4(candidate: Sequence, reference: Sequence) -> float:
     """Sentence BLEU-4 with add-1 smoothing and the standard brevity penalty."""
-    return _bleu4_against(candidate, _reference_table(reference), len(reference))
+    if not reference:
+        raise ParameterError("reference must be non-empty")
+    counts = _counts(tuple(candidate), tuple(reference), {})
+    return _bleu4(len(candidate), len(reference), *counts)
 
 
 def best_hypothesis(
-    beam: Sequence[Hypothesis], reference: Sequence[int]
+    beam: Sequence[Hypothesis], reference: Sequence[int], memo: BleuMemo | None = None
 ) -> tuple[Hypothesis, int]:
     """The beam element with the highest sentence BLEU-4, plus its 1-based rank.
 
     This is the ideal re-ranking oracle: an upper bound on what any
     beam re-scoring strategy could select.  Ties keep the lowest rank.
-    The reference's n-grams are counted once for the whole beam.
+    Members are looked up in ``memo`` first; the reference's n-grams are
+    counted at most once per call, at the first miss.
     """
     if not beam:
         raise ParameterError("beam must be non-empty")
-    table = _reference_table(reference)
+    if not reference:
+        raise ParameterError("reference must be non-empty")
+    if memo is None:
+        memo = {}
+    reference = tuple(reference)
+    table = None
     best_rank = 0
     best_score = -1.0
     for i, hyp in enumerate(beam):
-        score = _bleu4_against(hyp.core(), table, len(reference))
+        core = hyp.core()
+        counts = memo.get((core, reference))
+        if counts is None:
+            if table is None:
+                table = ngram_table(reference)
+            counts = _counts(core, reference, memo, table)
+        score = _bleu4(len(core), len(reference), *counts)
         if score > best_score:
             best_score = score
             best_rank = i
@@ -171,8 +208,8 @@ def word_position_frequency(
     With order "reverse" positions count from the end, so position 1
     counts sentence-final words; short sentences skip positions past
     their length.  Ties break lexicographically after descending count.
-    Token ids are counted first, then each distinct id is mapped to its
-    word once.
+    The ids at the position are counted in one ``Counter``; only the
+    words whose count reaches the top_k-th count are mapped and sorted.
     """
     if position not in (1, 2, 3):
         raise ParameterError("position must be 1, 2 or 3")
@@ -182,6 +219,15 @@ def word_position_frequency(
         raise ParameterError(f"unknown order {order!r}")
     index = position - 1 if order == "regular" else -position
     ids = Counter([pair.target[index] for pair in pairs if len(pair.target) >= position])
-    counts = {vocab.surface_for(token_id): count for token_id, count in ids.items()}
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    size = vocab.size
+    for token_id in ids:  # in order of first occurrence
+        if not 0 <= token_id < size:
+            vocab.surface_for(token_id)  # raises, naming the id
+    # Only words counted at least as often as the top_k-th word can rank;
+    # ties at that count are all kept so the word order settles them.
+    cut = sorted(ids.values())[-top_k] if len(ids) > top_k else 0
+    ranked = sorted(
+        ((vocab.surface_for(token_id), count) for token_id, count in ids.items() if count >= cut),
+        key=lambda item: (-item[1], item[0]),
+    )
     return ranked[:top_k]

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .corpus import Vocabulary, read_user_text
+from .corpus import Vocabulary, numbered_lines, read_user_text
 from .errors import DegeneratePairError, FormatError, ParameterError
 
 log = logging.getLogger(__name__)
@@ -170,17 +170,15 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     "word v1 ... vd" line per word.  Duplicate words keep the first entry."""
     vectors: dict[str, np.ndarray] = {}
     dimension: Optional[int] = None
-    lines = read_user_text(path).splitlines()
-    start = 0
-    if lines:
-        head = lines[0].split()
-        if len(head) == 2:
-            try:
-                int(head[0]), int(head[1])
-                start = 1
-            except ValueError:
-                pass
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    lines = list(numbered_lines(read_user_text(path)))
+    head = lines[0][1].split()
+    if len(head) == 2:
+        try:
+            int(head[0]), int(head[1])
+            lines = lines[1:]
+        except ValueError:
+            pass
+    for lineno, line in lines:
         if not line.strip():
             continue
         parts = line.rstrip().split(" ")

@@ -166,6 +166,14 @@ class TestConfigFile:
         assert main(["train", "--config", str(config)]) == 1
         assert "unknown config keys: jobs" in capsys.readouterr().err
 
+    def test_only_newlines_end_a_line(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes("a = b\x85c\r\nd = e\u2028f\r# g\x0bh = i\n".encode("utf-8"))
+        assert cli.parse_config_file(config) == {"a": "b\x85c", "d": "e\u2028f"}
+        config.write_bytes(b"seed = 1\rorder = 2\x0cx\n")
+        assert main(["train", "--config", str(config)]) == 1
+        assert f"{config}: config key order: must be an integer" in capsys.readouterr().err
+
     def test_missing_config_file_rejected(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "cannot read config file" in capsys.readouterr().err

@@ -189,6 +189,12 @@ class TestVocabulary:
         assert loaded.decode(range(loaded.size)) == vocab.decode(range(vocab.size))
         assert path.read_text(encoding="utf-8").splitlines()[0] == "<bos>\t0"
 
+    def test_only_newlines_end_a_line(self, tmp_path):
+        vocab = Vocabulary(list(RESERVED) + ["a\x85b", "c\u2028d", "e\x0bf"])
+        path = tmp_path / "vocab.txt"
+        vocab.save(path)
+        assert Vocabulary.load(path).decode(range(7)) == vocab.decode(range(7))
+
     def test_load_rejects_gap_in_ids(self, tmp_path):
         path = tmp_path / "vocab.txt"
         lines = ["%s\t%d" % (s, i) for i, s in enumerate(RESERVED)]
@@ -314,6 +320,13 @@ class TestLoadCorpus:
         with pytest.raises(FormatError) as info:
             load_corpus(path, "tsv")
         assert str(info.value) == f"{path}: line 2: not valid UTF-8 (byte 0xff)"
+
+    def test_non_utf8_line_counts_carriage_returns(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(b"a\tb\rc\td\r\xff\n")
+        with pytest.raises(FormatError) as info:
+            load_corpus(path, "tsv")
+        assert str(info.value) == f"{path}: line 3: not valid UTF-8 (byte 0xff)"
 
 
 class TestLoadCorpusOracle:

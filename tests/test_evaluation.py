@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bidibeam.beam import Hypothesis, SearchParams, vbs_decode
@@ -211,6 +211,35 @@ class TestBestHypothesis:
             best_hypothesis([], (4,))
 
 
+# Small beams over four ids, so members, references and whole cases repeat.
+BODIES = st.lists(st.integers(4, 7), max_size=5).map(tuple)
+CASES = st.lists(
+    st.tuples(st.lists(BODIES, min_size=1, max_size=5),
+              st.lists(st.integers(4, 7), min_size=1, max_size=5).map(tuple)),
+    min_size=1, max_size=8,
+)
+
+
+class TestSharedBleuMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(CASES)
+    def test_one_memo_equals_memo_free_calls_and_oracles(self, cases):
+        """One memo serves every call, in any order: each result equals the
+        call without a memo and the oracle, exactly."""
+        memo = {}
+        pairs = []
+        for bodies, reference in cases + cases[::2]:
+            beam = [Hypothesis(b + (EOS_ID,), -1.0, True) for b in bodies + bodies[::2]]
+            hyp, rank = best_hypothesis(beam, reference, memo)
+            assert (hyp, rank) == best_hypothesis(beam, reference)
+            assert rank == oracle_best_hypothesis([h.core() for h in beam], reference)
+            assert hyp is beam[rank - 1]
+            for body in bodies:
+                assert sentence_bleu4(body, reference) == oracle_sentence_bleu4(body, reference)
+                pairs.append((body, reference))
+            assert corpus_bleu4(pairs, memo) == corpus_bleu4(pairs) == oracle_corpus_bleu4(pairs)
+
+
 def fake_run(index):
     hyp = Hypothesis((4, EOS_ID), -1.0, True)
 
@@ -294,7 +323,7 @@ class TestWordPositionFrequency:
         pairs, vocab = self.corpus([["solo"], ["one", "two"]])
         assert word_position_frequency(pairs, vocab, 3) == []
 
-    @given(st.lists(st.lists(st.sampled_from("abcde"), min_size=1, max_size=6),
+    @given(st.lists(st.lists(st.sampled_from("abcdefghijkl"), min_size=1, max_size=6),
                     min_size=1, max_size=30),
            st.sampled_from(["regular", "reverse"]),
            st.integers(1, 3),

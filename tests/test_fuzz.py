@@ -63,16 +63,24 @@ TARGETS = {
 
 # Bytes that make or break the formats: digits, signs, JSON punctuation,
 # separators and a byte that is never UTF-8.
-INTERESTING = b'0123456789-+.eE"[]{},:=#\t\n \xff'
-EDITS = st.lists(
-    st.tuples(
-        st.sampled_from(["replace", "insert", "delete"]),
-        st.integers(0, 10 ** 6),
-        st.one_of(st.sampled_from(list(INTERESTING)), st.integers(0, 255)),
-    ),
-    min_size=1,
-    max_size=4,
-)
+INTERESTING = [bytes((b,)) for b in b'0123456789-+.eE"[]{},:=#\t\n \xff']
+# Every line break Python knows, in UTF-8.  Only \n, \r\n and \r end a line
+# of a user file; the others are line text.
+LINE_BREAKS = [b"\n", b"\r\n", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+               *(c.encode("utf-8") for c in "\x85\u2028\u2029")]
+
+
+def edits(pieces: st.SearchStrategy) -> st.SearchStrategy:
+    """Up to four edits, each replacing, inserting or deleting at a position."""
+    return st.lists(
+        st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 10 ** 6), pieces),
+        min_size=1,
+        max_size=4,
+    )
+
+
+EDITS = edits(st.one_of(st.sampled_from(INTERESTING + LINE_BREAKS),
+                        st.integers(0, 255).map(lambda b: bytes((b,)))))
 
 
 @pytest.fixture(scope="module")
@@ -90,14 +98,16 @@ def pristine(tmp_path_factory):
 
 
 def mutate(data: bytes, edits) -> bytes:
+    """``data`` with each (kind, position, piece) edit applied in turn; a
+    replacement swaps the byte at the position for the whole piece."""
     buffer = bytearray(data)
-    for kind, position, byte in edits:
+    for kind, position, piece in edits:
         at = position % (len(buffer) + 1)
         if kind == "insert":
-            buffer.insert(at, byte)
+            buffer[at:at] = piece
         elif at < len(buffer):
             if kind == "replace":
-                buffer[at] = byte
+                buffer[at : at + 1] = piece
             else:
                 del buffer[at]
     return bytes(buffer)
@@ -108,6 +118,20 @@ def mutate(data: bytes, edits) -> bytes:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edits=EDITS)
 def test_corrupted_file_exits_1_naming_it(pristine, target, edits):
+    run_corrupted(pristine, target, edits)
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=edits(st.sampled_from(LINE_BREAKS)))
+def test_line_breaks_exit_0_or_1_naming_the_file(pristine, target, edits):
+    run_corrupted(pristine, target, edits)
+
+
+def run_corrupted(pristine: Path, target: str, edits) -> None:
+    """Run the target's command on a copy whose target file has ``edits``;
+    it must exit 0, or exit 1 with a message that names the file."""
     name, argv = TARGETS[target]
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)

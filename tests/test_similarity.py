@@ -183,6 +183,15 @@ class TestLoadEmbeddings:
         with pytest.raises(FormatError, match="line 5"):
             load_embeddings(path)
 
+    def test_only_newlines_end_a_line(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_bytes("a\x85b 0.1 0.2\nc 0.1\n".encode("utf-8"))
+        with pytest.raises(FormatError) as info:
+            load_embeddings(path)
+        assert str(info.value) == f"{path}: line 2: expected 2 components, got 1"
+        path.write_bytes(b"2 2\r\na 1 2\rb\x0c 3 4\n")
+        assert len(load_embeddings(path)) == 2
+
     def test_unparsable_float_rejected(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("cat 1.0 oops 3.0\n", encoding="utf-8")

@@ -22,7 +22,7 @@ from .beam import (
 )
 from .corpus import EOS_ID, SentencePair
 from .errors import DirectionError, ParameterError, VocabularyMismatchError
-from .evaluation import BleuAccumulator
+from .evaluation import corpus_bleu4
 from .instrumentation import ComplexityReport
 from .lm import LanguageModel, reverse_sequence_logprob
 from .similarity import SimilaritySpec, dissimilarity, dissimilarity_lower_bound
@@ -143,11 +143,14 @@ def select_lambda(
     """Pick the reverse-score weight maximizing validation BLEU-4.
 
     Ties prefer the smallest weight; an empty validation split falls back
-    to the smallest grid value.  A pair's clipped n-gram counts are taken
-    once per beam position some weight selects and merged for each weight;
-    they are integers, so every weight's BLEU is that of its selections
-    scored from scratch.  ``searches`` is the search memo of ``vbs_decode``.
+    to the smallest grid value.  Every weight's selections are scored by
+    ``corpus_bleu4`` over one BLEU memo, so a pair some weights share is
+    counted once.  ``searches`` is the search memo of ``vbs_decode``.
     """
+    if not grid:
+        raise ParameterError("the reverse-weight grid must not be empty")
+    if any(weight < 0 for weight in grid):
+        raise ParameterError("reverse weights must be non-negative")
     grid = sorted(grid)
     if not validation:
         return grid[0]
@@ -155,18 +158,16 @@ def select_lambda(
     for pair in validation:
         base = vbs_decode(regular, pair.source, search, searches)
         terms = rescore_terms(base.beam, reverse, pair.source, search.alpha)
-        bases.append((pair, base, terms, {}))
+        bases.append((pair, base, terms))
+    bleu_memo: dict = {}
     best_lambda = grid[0]
     best_bleu = -1.0
     for lam in grid:
-        total = BleuAccumulator()
-        for pair, base, terms, counts in bases:
-            position = rank_by_combined_score(base.beam, terms, lam)[0][0]
-            if position not in counts:
-                counts[position] = BleuAccumulator()
-                counts[position].add(base.beam[position].core(), pair.target)
-            total.merge(counts[position])
-        bleu = total.score()
+        selections = [
+            (base.beam[rank_by_combined_score(base.beam, terms, lam)[0][0]].core(), pair.target)
+            for pair, base, terms in bases
+        ]
+        bleu = corpus_bleu4(selections, bleu_memo)
         if bleu > best_bleu:
             best_bleu = bleu
             best_lambda = lam

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 from .beam import DecodeOutput, Hypothesis, SearchParams, vbs_decode
 from .bidi import BidiSParams, bidia_decode, bidis_decode, select_lambda
 from .corpus import (
+    EOS_ID,
     SentencePair,
     Vocabulary,
     build_vocabulary,
@@ -526,6 +527,9 @@ def _beam_record(record: object, ids: frozenset, where: str) -> SimpleNamespace:
         check(id_list(tokens), "tokens", "a list of vocabulary ids")
         check(type(logprob) in (int, float), "logprob", "a number")
         check(type(finished) is bool, "finished", "true or false")
+        # The Hypothesis invariant: EOS is the last token exactly when finished.
+        check((tokens[-1:] == [EOS_ID]) == finished and EOS_ID not in tokens[:-1], "tokens",
+              "a list of vocabulary ids ending in EOS exactly when finished, with no other EOS")
         hypotheses.append(Hypothesis(tuple(tokens), logprob, finished))
     index = record.get("selected_index")
     check(type(index) is int and 1 <= index <= len(beam), "selected_index", "an integer in 1..len(beam)")

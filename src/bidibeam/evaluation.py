@@ -4,107 +4,65 @@ rank / word-position statistics for beam analysis."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .beam import DecodeOutput, Hypothesis
 from .corpus import SentencePair, Vocabulary
 from .errors import ParameterError
-from .similarity import (
-    BLEU_ORDER,
-    bp_t,
-    clip_counts,
-    geometric_mean,
-    ngram_table,
-    smoothed_from_counts,
-)
+from .similarity import BLEU_ORDER, bleu4_from_counts, bp_t, clip_counts, geometric_mean, ngram_table
 
-# A BLEU memo maps a (candidate, reference) pair of token tuples to the
-# pair's clipped n-gram matches and candidate n-gram totals.  Every entry
-# is a pure function of its key, so one memo can be shared by any number
-# of calls; a call given none uses a fresh one.
-BleuMemo = dict[tuple[tuple, tuple], tuple[list[int], list[int]]]
+# A BLEU memo maps a reference (a token tuple) to its ``ngram_table`` and
+# to the clipped n-gram matches and candidate n-gram totals of each
+# candidate counted against it.  Every entry is a pure function of its
+# keys, so one memo can be shared by any number of calls; a call given
+# none uses a fresh one.
+BleuMemo = dict[tuple, tuple[Counter, dict[tuple, tuple[list[int], list[int]]]]]
 
 
-def _counts(
-    candidate: tuple, reference: tuple, memo: BleuMemo, reference_table: Counter | None = None
-) -> tuple[list[int], list[int]]:
-    """The memo's entry for one pair, counted on a miss against
-    ``reference_table`` (the reference's ``ngram_table``, counted here when
-    not given)."""
-    key = (candidate, reference)
-    entry = memo.get(key)
+def _counts(candidate: tuple, reference: tuple, memo: BleuMemo) -> tuple[list[int], list[int]]:
+    """The pair's clipped counts from ``memo``, counted on a miss; the
+    reference's n-grams are counted once per memo."""
+    entry = memo.get(reference)
     if entry is None:
-        if reference_table is None:
-            reference_table = ngram_table(reference)
-        entry = memo[key] = clip_counts(ngram_table(candidate), len(candidate), reference_table)
-    return entry
-
-
-def _bleu4(
-    candidate_length: int, reference_length: int, matches: list[int], totals: list[int]
-) -> float:
-    """Sentence BLEU-4 from a pair's lengths and clipped counts."""
-    if not candidate_length:
-        return 0.0
-    return bp_t(candidate_length, reference_length) * geometric_mean(
-        smoothed_from_counts(matches, totals)
-    )
-
-
-@dataclass
-class BleuAccumulator:
-    """Corpus-level clipped n-gram counts for micro-averaged BLEU-4."""
-
-    matches: list[int] = field(default_factory=lambda: [0] * BLEU_ORDER)
-    totals: list[int] = field(default_factory=lambda: [0] * BLEU_ORDER)
-    candidate_length: int = 0
-    reference_length: int = 0
-
-    def add(self, candidate: Sequence, reference: Sequence, memo: BleuMemo | None = None) -> None:
-        """Count one pair, looking its counts up in ``memo`` first."""
-        matches, totals = _counts(tuple(candidate), tuple(reference), {} if memo is None else memo)
-        for n in range(BLEU_ORDER):
-            self.matches[n] += matches[n]
-            self.totals[n] += totals[n]
-        self.candidate_length += len(candidate)
-        self.reference_length += len(reference)
-
-    def merge(self, other: "BleuAccumulator") -> None:
-        for n in range(BLEU_ORDER):
-            self.matches[n] += other.matches[n]
-            self.totals[n] += other.totals[n]
-        self.candidate_length += other.candidate_length
-        self.reference_length += other.reference_length
-
-    def score(self) -> float:
-        """Micro-averaged BLEU-4 on the 0..100 scale.
-
-        An order with hypothesis n-grams but zero matches drops the score
-        to 0; an order with no hypothesis n-grams anywhere in the corpus is
-        vacuous and contributes a perfect precision, which keeps the score
-        of a corpus against itself at 100 even for very short sentences.
-        """
-        if self.candidate_length == 0:
-            return 0.0
-        precisions = [m / t if t else 1.0 for m, t in zip(self.matches, self.totals)]
-        penalty = bp_t(self.candidate_length, self.reference_length)
-        return 100.0 * penalty * geometric_mean(precisions)
+        entry = memo[reference] = (ngram_table(reference), {})
+    table, by_candidate = entry
+    counts = by_candidate.get(candidate)
+    if counts is None:
+        counts = by_candidate[candidate] = clip_counts(ngram_table(candidate), len(candidate), table)
+    return counts
 
 
 def corpus_bleu4(
     pairs: Sequence[tuple[Sequence, Sequence]], memo: BleuMemo | None = None
 ) -> float:
-    """Corpus BLEU-4 over (candidate, reference) pairs, both EOS-stripped;
-    each distinct pair is counted once per ``memo``."""
+    """Micro-averaged corpus BLEU-4 on the 0..100 scale over (candidate,
+    reference) pairs, both EOS-stripped; each distinct pair is counted once
+    per ``memo``.
+
+    An order with hypothesis n-grams but zero matches drops the score to 0;
+    an order with no hypothesis n-grams anywhere in the corpus is vacuous
+    and contributes a perfect precision, which keeps the score of a corpus
+    against itself at 100 even for very short sentences.
+    """
     if not pairs:
         raise ParameterError("corpus BLEU needs at least one pair")
     if memo is None:
         memo = {}
-    acc = BleuAccumulator()
+    matches = [0] * BLEU_ORDER
+    totals = [0] * BLEU_ORDER
+    candidate_length = reference_length = 0
     for candidate, reference in pairs:
-        acc.add(candidate, reference, memo)
-    return acc.score()
+        pair_matches, pair_totals = _counts(tuple(candidate), tuple(reference), memo)
+        for n in range(BLEU_ORDER):
+            matches[n] += pair_matches[n]
+            totals[n] += pair_totals[n]
+        candidate_length += len(candidate)
+        reference_length += len(reference)
+    if candidate_length == 0:
+        return 0.0
+    precisions = [m / t if t else 1.0 for m, t in zip(matches, totals)]
+    return 100.0 * bp_t(candidate_length, reference_length) * geometric_mean(precisions)
 
 
 def distinct_n(sentences: Sequence[Sequence], n: int) -> float:
@@ -133,7 +91,7 @@ def sentence_bleu4(candidate: Sequence, reference: Sequence) -> float:
     if not reference:
         raise ParameterError("reference must be non-empty")
     counts = _counts(tuple(candidate), tuple(reference), {})
-    return _bleu4(len(candidate), len(reference), *counts)
+    return bleu4_from_counts(len(candidate), len(reference), *counts)
 
 
 def best_hypothesis(
@@ -143,8 +101,7 @@ def best_hypothesis(
 
     This is the ideal re-ranking oracle: an upper bound on what any
     beam re-scoring strategy could select.  Ties keep the lowest rank.
-    Members are looked up in ``memo`` first; the reference's n-grams are
-    counted at most once per call, at the first miss.
+    Members are looked up in ``memo`` first.
     """
     if not beam:
         raise ParameterError("beam must be non-empty")
@@ -153,17 +110,11 @@ def best_hypothesis(
     if memo is None:
         memo = {}
     reference = tuple(reference)
-    table = None
     best_rank = 0
     best_score = -1.0
     for i, hyp in enumerate(beam):
         core = hyp.core()
-        counts = memo.get((core, reference))
-        if counts is None:
-            if table is None:
-                table = ngram_table(reference)
-            counts = _counts(core, reference, memo, table)
-        score = _bleu4(len(core), len(reference), *counts)
+        score = bleu4_from_counts(len(core), len(reference), *_counts(core, reference, memo))
         if score > best_score:
             best_score = score
             best_rank = i

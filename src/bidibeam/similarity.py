@@ -91,13 +91,6 @@ def clip_counts(
     return matches, totals
 
 
-def clipped_precision_counts(
-    hypothesis: Sequence, reference: Sequence
-) -> tuple[list[int], list[int]]:
-    """Per-order clipped n-gram matches and hypothesis n-gram totals."""
-    return clip_counts(ngram_table(hypothesis), len(hypothesis), ngram_table(reference))
-
-
 def smoothed_from_counts(matches: Sequence[int], totals: Sequence[int]) -> list[float]:
     """Modified n-gram precisions with sentence-level add-1 smoothing.
 
@@ -115,16 +108,24 @@ def smoothed_from_counts(matches: Sequence[int], totals: Sequence[int]) -> list[
     return precisions
 
 
-def smoothed_precisions(hypothesis: Sequence, reference: Sequence) -> list[float]:
-    """``smoothed_from_counts`` of the pair's clipped n-gram counts."""
-    return smoothed_from_counts(*clipped_precision_counts(hypothesis, reference))
-
-
 def geometric_mean(precisions: Sequence[float]) -> float:
     """Uniformly weighted geometric mean of n-gram precisions; 0 when any is 0."""
     if any(p == 0.0 for p in precisions):
         return 0.0
     return math.exp(sum(math.log(p) for p in precisions) / len(precisions))
+
+
+def bleu4_from_counts(
+    candidate_length: int, reference_length: int, matches: Sequence[int], totals: Sequence[int]
+) -> float:
+    """Sentence BLEU-4 from a pair's clipped counts: bp_t of the two lengths
+    times the geometric mean of the smoothed precisions; 0 for an empty
+    candidate."""
+    if not candidate_length:
+        return 0.0
+    return bp_t(candidate_length, reference_length) * geometric_mean(
+        smoothed_from_counts(matches, totals)
+    )
 
 
 def bleu_t(hypothesis: Sequence, reference: Sequence, spec: SimilaritySpec) -> float:
@@ -135,8 +136,8 @@ def bleu_t(hypothesis: Sequence, reference: Sequence, spec: SimilaritySpec) -> f
     """
     if not hypothesis or not reference:
         raise ParameterError("bleu_t requires non-empty sequences")
-    precisions = smoothed_precisions(hypothesis, reference)
-    return bp_t(len(hypothesis), spec.max_length) * geometric_mean(precisions)
+    counts = clip_counts(ngram_table(hypothesis), len(hypothesis), ngram_table(reference))
+    return bleu4_from_counts(len(hypothesis), spec.max_length, *counts)
 
 
 class EmbeddingTable:

@@ -407,6 +407,46 @@ def oracle_best_hypothesis(cores: Sequence[Sequence], ref: Sequence) -> int:
     return max(range(len(cores)), key=lambda i: (scores[i], -i)) + 1
 
 
+def oracle_select_lambda(regular, reverse, validation, search, grid) -> float:
+    """The weight of ``grid`` whose re-ranked validation selections score
+    the highest corpus BLEU-4, every weight scored from scratch; ties keep
+    the smallest weight, and an empty split takes the smallest weight.
+
+    Each beam comes from ``reference_vbs``.  A member's two terms are its
+    regular log-probability and the reverse model's chain-rule sum over its
+    reversed core plus EOS, each over the member's own length penalty; the
+    weight w selects the member of highest term1 + w * term2, ties by
+    tokens.
+    """
+    grid = sorted(grid)
+    if not validation:
+        return grid[0]
+    b, t, alpha = search.beam_size, search.max_length, search.alpha
+    beams = []
+    for pair in validation:
+        members = []
+        for tokens, logprob, finished in reference_vbs(
+                regular, pair.source, regular.vocab.size, b, t, alpha).beam:
+            core = tokens[:-1] if finished else tokens
+            backward = tuple(reversed(core)) + (EOS,)
+            reverse_logprob = 0.0
+            for i, token in enumerate(backward):
+                reverse_logprob += float(reverse.next_token_logprobs(pair.source, backward[:i])[token])
+            lp = oracle_length_penalty(len(tokens), alpha)
+            members.append((tokens, core, logprob / lp, reverse_logprob / lp))
+        beams.append((pair.target, members))
+    best_lambda, best_bleu = None, -1.0
+    for lam in grid:
+        selections = []
+        for target, members in beams:
+            pick = min(members, key=lambda m: (-(m[2] + lam * m[3]), m[0]))
+            selections.append((pick[1], target))
+        bleu = oracle_corpus_bleu4(selections)
+        if bleu > best_bleu:
+            best_lambda, best_bleu = lam, bleu
+    return best_lambda
+
+
 def oracle_word_position_frequency(
     pairs, vocab, position: int, order: str = "regular", top_k: int = 50
 ) -> list[tuple[str, int]]:

@@ -11,14 +11,20 @@ import io
 import json
 import re
 import shutil
+import tempfile
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bidibeam import beam, bidi, cli
 from bidibeam.cli import main
-from bidibeam.corpus import Vocabulary, encode_pairs, load_corpus
+from bidibeam.beam import SearchParams
+from bidibeam.corpus import EOS_ID, Vocabulary, encode_pairs, load_corpus, split_corpus
+from bidibeam.lm import ConditionalNGramLM
 from bidibeam.synth import (
     corpus_words,
     synthetic_pairs,
@@ -26,7 +32,12 @@ from bidibeam.synth import (
     write_embeddings,
 )
 
-from oracles import oracle_best_hypothesis, oracle_corpus_bleu4, oracle_word_position_frequency
+from oracles import (
+    oracle_best_hypothesis,
+    oracle_corpus_bleu4,
+    oracle_select_lambda,
+    oracle_word_position_frequency,
+)
 
 # Small but non-trivial: 80 train / 10 validation / 10 test pairs.  The
 # interpolation leans on the trigram so decodes produce real sentences
@@ -580,6 +591,56 @@ class TestSweep:
         assert all(r[3] == r[4] == "0.000000" for r in rows[1:])
 
 
+def persisted_selections(path):
+    """(selected core, reference) of every record in a beams file: bidia
+    records name their pick by ``selected_index``, the other algorithms
+    write it first."""
+    selections = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        pick = record["selected_index"] - 1 if record["algorithm"].startswith("bidia") else 0
+        member = record["beam"][pick]
+        core = member["tokens"][:-1] if member["finished"] else member["tokens"]
+        selections.append((core, record["reference"]))
+    return selections
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(30, 60), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+       st.lists(st.sampled_from([2, 4]), min_size=1, max_size=2, unique=True),
+       st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), min_size=1, max_size=5, unique=True))
+# Corpora on which validation BLEU picks a weight above the smallest one.
+@example(33, 4, 2, [2, 4], [0.0, 0.25, 0.5, 1.0, 2.0])
+@example(30, 1, 2, [4, 2], [2.0, 1.0, 0.0])
+def test_sweep_equals_the_oracles(size, corpus_seed, split_seed, beam_sizes, grid):
+    """train -> sweep on a small corpus: every recorded weight is the one
+    the oracle selects on the loaded models and the validation split, and
+    every BLEU-4 cell is the oracle's corpus BLEU-4 of its persisted picks."""
+    with tempfile.TemporaryDirectory() as root:
+        corpus, out = Path(root) / "corpus.tsv", Path(root) / "run"
+        write_corpus_tsv(synthetic_pairs(size, seed=corpus_seed), corpus)
+        flags = ["--corpus", str(corpus), *BASE_FLAGS, "--seed", str(split_seed), "--out", str(out)]
+        assert main(["train", *flags]) == 0
+        assert main(["sweep", *flags, "--nb-list", ",".join(map(str, beam_sizes)),
+                     "--algorithms", "vbs,bidis,bidia-bleu",
+                     "--lambda-grid", ",".join(map(str, grid))]) == 0
+
+        resolved = json.loads((out / "config_sweep.json").read_text(encoding="utf-8"))
+        vocab = Vocabulary.load(out / "vocab.txt")
+        regular = ConditionalNGramLM.load(out / "lm_regular.json", vocab)
+        reverse = ConditionalNGramLM.load(out / "lm_reverse.json", vocab)
+        split = split_corpus(load_corpus(corpus), resolved["split"], split_seed)
+        validation = encode_pairs(split.validation, vocab)
+        assert resolved["lambda_selected"] == {
+            str(nb): oracle_select_lambda(
+                regular, reverse, validation,
+                SearchParams(nb, resolved["max_length"], resolved["alpha"]), grid)
+            for nb in beam_sizes}
+        for algorithm, nb, bleu, _, _ in read_csv(out / "sweep.csv")[1:]:
+            selections = persisted_selections(out / f"beams_{algorithm}_nb{nb}.jsonl")
+            assert bleu == f"{oracle_corpus_bleu4(selections):.6f}"
+
+
 class TestSearchMemo:
     """One sweep shares its searches across cells; no cell's output changes."""
 
@@ -748,6 +809,17 @@ def corrupting(key, *value):
     return corrupt
 
 
+def moving_eos(to_front):
+    """Drop the trailing EOS of a finished beam member, or move it to the
+    front, leaving ``finished`` true."""
+    def corrupt(record):
+        member = next(m for m in record["beam"] if m["finished"] and len(m["tokens"]) > 1)
+        body = member["tokens"][:-1]
+        member["tokens"] = [EOS_ID, *body] if to_front else body
+        return record
+    return corrupt
+
+
 class TestBeamFileFaults:
     """A malformed persisted beam record exits 1 naming the file, line and key."""
 
@@ -765,6 +837,8 @@ class TestBeamFileFaults:
         (corrupting("tokens", [4, 10 ** 6]), "key 'tokens'"),
         (corrupting("tokens", [-1]), "key 'tokens'"),
         (corrupting("tokens", [[4]]), "key 'tokens'"),
+        (moving_eos(to_front=False), "key 'tokens'"),
+        (moving_eos(to_front=True), "key 'tokens'"),
         (corrupting("finished", "yes"), "key 'finished'"),
         (corrupting("logprob", "x"), "key 'logprob'"),
         (lambda record: [record], "expected a JSON object"),

@@ -11,7 +11,6 @@ from bidibeam.beam import Hypothesis, SearchParams, vbs_decode
 from bidibeam.corpus import EOS_ID, SentencePair, build_vocabulary, encode_pairs
 from bidibeam.errors import ParameterError
 from bidibeam.evaluation import (
-    BleuAccumulator,
     RankHistogram,
     best_hypothesis,
     corpus_bleu4,
@@ -74,6 +73,14 @@ class TestCorpusBleu4:
         with pytest.raises(ParameterError):
             corpus_bleu4([])
 
+    def test_counts_stay_clipped(self):
+        # "a a a" against "a" matches one unigram, not three; the second
+        # pair gives every order a match: p1..p4 = 5/7, 3/5, 2/3, 1/1.
+        pairs = [(["a", "a", "a"], ["a"]), (["b", "c", "d", "e"], ["b", "c", "d", "e"])]
+        assert corpus_bleu4(pairs) == oracle_corpus_bleu4(pairs)
+        assert corpus_bleu4(pairs) == pytest.approx(
+            100 * (5 / 7 * 3 / 5 * 2 / 3) ** 0.25, abs=1e-9)
+
     # Candidates may be empty, and short ones leave the higher orders
     # without n-grams; two words make most orders match somewhere.
     @given(st.lists(st.tuples(st.lists(st.sampled_from("ab"), max_size=6),
@@ -88,31 +95,6 @@ class TestCorpusBleu4:
     def test_self_corpus_always_one_hundred(self, pairs):
         same = [(ref, ref) for _, ref in pairs]
         assert corpus_bleu4(same) == 100.0
-
-
-class TestBleuAccumulator:
-    def test_merge_equals_sequential_adds(self):
-        pairs = [(["a", "b", "c", "d", "e"], ["a", "b", "c", "d", "f"]),
-                 (["x", "y"], ["x", "y"]),
-                 (["p", "q", "r"], ["p", "r", "q"])]
-        whole = BleuAccumulator()
-        for cand, ref in pairs:
-            whole.add(cand, ref)
-        left = BleuAccumulator()
-        left.add(*pairs[0])
-        right = BleuAccumulator()
-        right.add(*pairs[1])
-        right.add(*pairs[2])
-        left.merge(right)
-        assert left.matches == whole.matches
-        assert left.totals == whole.totals
-        assert left.score() == whole.score()
-
-    def test_counts_stay_clipped(self):
-        acc = BleuAccumulator()
-        acc.add(["a", "a", "a"], ["a"])
-        assert acc.matches[0] == 1
-        assert acc.totals[0] == 3
 
 
 class TestDistinctN:
@@ -238,6 +220,30 @@ class TestSharedBleuMemo:
                 assert sentence_bleu4(body, reference) == oracle_sentence_bleu4(body, reference)
                 pairs.append((body, reference))
             assert corpus_bleu4(pairs, memo) == corpus_bleu4(pairs) == oracle_corpus_bleu4(pairs)
+        # Every candidate seen so far against every reference, through the
+        # same memo: one candidate meets several references and one
+        # reference several candidates.
+        for body in {body for body, _ in pairs}:
+            for reference in {reference for _, reference in pairs}:
+                pair = [(body, reference)]
+                assert corpus_bleu4(pair, memo) == oracle_corpus_bleu4(pair)
+
+    def test_entries_are_keyed_by_both_sides(self):
+        """One candidate against two references, and two candidates against
+        one reference, each keep their own counts in one memo."""
+        shared, other = (4, 5, 6, 7), (6, 5)
+        first, second = (4, 5, 6, 7, 4), (7, 6, 5, 4)
+        memo = {}
+        for candidate, reference in [(shared, first), (shared, second), (other, first),
+                                     (other, second), (shared, first)]:
+            pair = [(candidate, reference)]
+            assert corpus_bleu4(pair, memo) == oracle_corpus_bleu4(pair)
+            beam = [Hypothesis(body + (EOS_ID,), -1.0, True) for body in (other, shared)]
+            _, rank = best_hypothesis(beam, reference, memo)
+            assert rank == oracle_best_hypothesis([other, shared], reference)
+        # The four pairs' counts differ, so a mixed-up entry changes a score.
+        assert len({oracle_sentence_bleu4(candidate, reference)
+                    for candidate in (shared, other) for reference in (first, second)}) == 4
 
 
 def fake_run(index):

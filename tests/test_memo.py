@@ -1,23 +1,18 @@
 """The search memo: decodes that share one give the outputs of memo-free ones."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidibeam.beam import SearchParams, vbs_decode
-from bidibeam.bidi import (
-    BidiSParams,
-    bidia_decode,
-    bidis_decode,
-    rank_by_combined_score,
-    rescore_terms,
-    select_lambda,
-)
+from bidibeam.bidi import BidiSParams, bidia_decode, bidis_decode, select_lambda
 from bidibeam.corpus import SentencePair
-from bidibeam.evaluation import corpus_bleu4
+from bidibeam.errors import ParameterError
 from bidibeam.lm import REGULAR, REVERSE
 from bidibeam.similarity import BLEU_T, SimilaritySpec
 
 from conftest import RandomTableLM, TieLM, dummy_vocab, wmd_measures
+from oracles import oracle_select_lambda
 
 MODELS = {"random": RandomTableLM, "ties": TieLM}
 SOURCES = ((4,), (5,), (4, 5))
@@ -76,28 +71,11 @@ def test_shared_memo_matches_memo_free_decodes(data):
     assert set(searches) == expected_keys
 
 
-def _per_weight_bleu_selection(regular, reverse, validation, search, grid):
-    """Lambda selection as it was: every weight's BLEU from scratch."""
-    bases = []
-    for pair in validation:
-        base = vbs_decode(regular, pair.source, search)
-        bases.append((pair, base, rescore_terms(base.beam, reverse, pair.source, search.alpha)))
-    best_lambda, best_bleu = None, -1.0
-    for lam in sorted(grid):
-        bleu = corpus_bleu4([
-            (base.beam[rank_by_combined_score(base.beam, terms, lam)[0][0]].core(), pair.target)
-            for pair, base, terms in bases
-        ])
-        if bleu > best_bleu:
-            best_lambda, best_bleu = lam, bleu
-    return best_lambda
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(1, 5), st.data())
 def test_select_lambda_matches_per_weight_bleu(seed, b, t, data):
-    """Merged per-position counts pick the weight that scoring every
-    weight's selections from scratch picks, with or without a memo."""
+    """select_lambda picks the weight that scoring every weight's
+    selections from scratch picks, with or without a search memo."""
     vocab = dummy_vocab(7)
     regular = RandomTableLM(vocab, seed, direction=REGULAR)
     reverse = RandomTableLM(vocab, seed + 1, direction=REVERSE)
@@ -112,7 +90,7 @@ def test_select_lambda_matches_per_weight_bleu(seed, b, t, data):
         validation.append(SentencePair(source, target))
     grid = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 4.0]),
                               min_size=1, max_size=6, unique=True))
-    expected = _per_weight_bleu_selection(regular, reverse, validation, search, grid)
+    expected = oracle_select_lambda(regular, reverse, validation, search, grid)
     searches: dict = {}
     assert select_lambda(regular, reverse, validation, search, grid) == expected
     assert select_lambda(regular, reverse, validation, search, grid, searches) == expected
@@ -124,3 +102,15 @@ def test_select_lambda_empty_validation_takes_smallest_weight():
     regular = RandomTableLM(vocab, 1, direction=REGULAR)
     reverse = RandomTableLM(vocab, 2, direction=REVERSE)
     assert select_lambda(regular, reverse, [], SearchParams(2, 3), [2.0, 0.5, 1.0]) == 0.5
+
+
+@pytest.mark.parametrize("grid", [[], [-1.0], [0.5, -0.25]])
+@pytest.mark.parametrize("validation", [[], [SentencePair((4,), (5,))]])
+def test_select_lambda_rejects_a_bad_grid(grid, validation):
+    """An empty grid or a negative weight is a ParameterError, whether or
+    not there is validation data to score."""
+    vocab = dummy_vocab(6)
+    regular = RandomTableLM(vocab, 1, direction=REGULAR)
+    reverse = RandomTableLM(vocab, 2, direction=REVERSE)
+    with pytest.raises(ParameterError):
+        select_lambda(regular, reverse, validation, SearchParams(2, 3), grid)

@@ -17,13 +17,14 @@ from bidibeam.similarity import (
     TransportProblem,
     bleu_t,
     bp_t,
-    clipped_precision_counts,
+    clip_counts,
     default_stopwords,
     dissimilarity,
     dissimilarity_lower_bound,
     load_embeddings,
     load_stopwords,
-    smoothed_precisions,
+    ngram_table,
+    smoothed_from_counts,
     solve_transport,
     wmd,
 )
@@ -113,30 +114,34 @@ class TestBleuT:
         assert bleu_t(a, b, spec_bleu(8)) == oracle_bleu_t(a, b, 8)
 
 
+def pair_counts(hypothesis, reference):
+    return clip_counts(ngram_table(hypothesis), len(hypothesis), ngram_table(reference))
+
+
 class TestClippedPrecisionCounts:
     @given(st.lists(st.integers(4, 6), max_size=9), st.lists(st.integers(4, 6), max_size=9))
     @example([], [4, 5])
     @example([4, 4, 4], [4, 4])
     @example([4, 5, 4, 5, 4, 5], [4, 5, 4, 5, 4])
     def test_matches_per_order_counters(self, hypothesis, reference):
-        assert (clipped_precision_counts(hypothesis, reference)
+        assert (pair_counts(hypothesis, reference)
                 == oracle_clipped_precision_counts(hypothesis, reference))
 
     def test_repeated_grams_are_clipped(self):
-        assert clipped_precision_counts("aaaa", "aa") == ([2, 1, 0, 0], [4, 3, 2, 1])
+        assert pair_counts("aaaa", "aa") == ([2, 1, 0, 0], [4, 3, 2, 1])
 
 
 class TestSmoothedPrecisions:
     def test_unigram_never_smoothed(self):
-        precisions = smoothed_precisions(["a", "b"], ["a", "c"])
+        precisions = smoothed_from_counts(*pair_counts(["a", "b"], ["a", "c"]))
         assert precisions == [0.5, 0.5, 1.0, 1.0]
 
     def test_no_smoothing_when_all_orders_match(self):
-        precisions = smoothed_precisions(["a", "b"], ["a", "b"])
+        precisions = smoothed_from_counts(*pair_counts(["a", "b"], ["a", "b"]))
         assert precisions == [1.0, 1.0, 1.0, 1.0]
 
     def test_vacuous_orders_count_as_perfect(self):
-        precisions = smoothed_precisions(["a"], ["a"])
+        precisions = smoothed_from_counts(*pair_counts(["a"], ["a"]))
         assert precisions == [1.0, 1.0, 1.0, 1.0]
 
 

@@ -139,13 +139,16 @@ def select_lambda(
     search: SearchParams,
     grid: Sequence[float],
     searches: dict | None = None,
-) -> float:
+) -> tuple[float, list[tuple[float, float]]]:
     """Pick the reverse-score weight maximizing validation BLEU-4.
 
+    Returns the weight and the validation curve that chose it: one
+    (weight, corpus BLEU-4) pair per grid value, in ascending weight order.
     Ties prefer the smallest weight; an empty validation split falls back
-    to the smallest grid value.  Every weight's selections are scored by
-    ``corpus_bleu4`` over one BLEU memo, so a pair some weights share is
-    counted once.  ``searches`` is the search memo of ``vbs_decode``.
+    to the smallest grid value with an empty curve.  Every weight's
+    selections are scored by ``corpus_bleu4`` over one BLEU memo, so a pair
+    some weights share is counted once.  ``searches`` is the search memo of
+    ``vbs_decode``.
     """
     if not grid:
         raise ParameterError("the reverse-weight grid must not be empty")
@@ -153,25 +156,22 @@ def select_lambda(
         raise ParameterError("reverse weights must be non-negative")
     grid = sorted(grid)
     if not validation:
-        return grid[0]
+        return grid[0], []
     bases = []
     for pair in validation:
         base = vbs_decode(regular, pair.source, search, searches)
         terms = rescore_terms(base.beam, reverse, pair.source, search.alpha)
         bases.append((pair, base, terms))
     bleu_memo: dict = {}
-    best_lambda = grid[0]
-    best_bleu = -1.0
+    curve = []
     for lam in grid:
         selections = [
             (base.beam[rank_by_combined_score(base.beam, terms, lam)[0][0]].core(), pair.target)
             for pair, base, terms in bases
         ]
-        bleu = corpus_bleu4(selections, bleu_memo)
-        if bleu > best_bleu:
-            best_bleu = bleu
-            best_lambda = lam
-    return best_lambda
+        curve.append((lam, corpus_bleu4(selections, bleu_memo)))
+    best_lambda, _ = max(curve, key=lambda point: point[1])
+    return best_lambda, curve
 
 
 def unreverse_hypothesis(hyp: Hypothesis) -> Hypothesis:

@@ -48,6 +48,8 @@ from .similarity import (
 )
 
 ALGORITHMS = ("vbs", "bidis", "bidia-bleu", "bidia-wmd")
+# The similarity measure each agreement algorithm minimizes.
+_MEASURE_KINDS = {"bidia-bleu": BLEU_T, "bidia-wmd": WMD_T}
 
 DECODES_HEADER = ("source", "reference", "output", "selected_index", "score", "expansions")
 SWEEP_HEADER = ("algorithm", "beam_size", "bleu4", "distinct1", "distinct2")
@@ -294,10 +296,12 @@ def _build_measure(cfg: RunConfig, vocab: Vocabulary, kind: str) -> SimilaritySp
 
 
 def _load_grid(cfg: RunConfig, algorithms: Sequence[str], beam_sizes: Sequence[int]) -> tuple:
-    """Check the algorithm x beam-size grid, then load the models and the
-    validation and test splits, each encoded once for every cell."""
+    """Check the algorithm x beam-size grid, then load the models, the
+    validation and test splits, each encoded once for every cell, and the
+    similarity measure of each agreement algorithm, built once for every
+    beam size."""
     _require(cfg, "corpus", "out")
-    if any(a.startswith("bidia") for a in algorithms):
+    if any(a in _MEASURE_KINDS for a in algorithms):
         for nb in beam_sizes:
             if nb % 2 != 0:
                 raise ConfigError(
@@ -305,7 +309,12 @@ def _load_grid(cfg: RunConfig, algorithms: Sequence[str], beam_sizes: Sequence[i
                 )
     models = _load_models(cfg)
     split = _prepare_splits(cfg)
-    return models, (encode_pairs(split.validation, models[0]), encode_pairs(split.test, models[0]))
+    encoded = (encode_pairs(split.validation, models[0]), encode_pairs(split.test, models[0]))
+    measures = {
+        algorithm: _build_measure(cfg, models[0], _MEASURE_KINDS[algorithm])
+        for algorithm in _MEASURE_KINDS if algorithm in algorithms
+    }
+    return models, encoded, measures
 
 
 def _selected_score(output: DecodeOutput) -> float:
@@ -400,30 +409,33 @@ def _decode_cell(
     beam_size: int,
     models: tuple[Vocabulary, ConditionalNGramLM, ConditionalNGramLM],
     encoded: tuple[Sequence[SentencePair], Sequence[SentencePair]],
+    measures: dict[str, SimilaritySpec],
     searches: dict,
     decodes_name: str,
     save_beams: bool,
-) -> tuple[float, tuple[float, float, float]]:
+) -> tuple[tuple[float, list], tuple[float, float, float]]:
     """Decode the test split as one cell of the grid and write its files.
 
     bidis first picks its reverse weight on the validation split.
-    ``encoded`` holds the encoded validation and test splits.  The cell
-    writes ``decodes_name`` and, with ``save_beams``, its beams file;
-    ``searches`` is the command's search memo.  Returns the weight (0.0
-    unless bidis) and the cell's BLEU-4, distinct-1 and distinct-2.
+    ``encoded`` holds the encoded validation and test splits, ``measures``
+    the command's measure of each agreement algorithm.  The cell writes
+    ``decodes_name`` and, with ``save_beams``, its beams file; ``searches``
+    is the command's search memo.  Returns the weight and its validation
+    curve (0.0 and an empty curve unless bidis) and the cell's BLEU-4,
+    distinct-1 and distinct-2.
     """
     vocab, regular, reverse = models
     validation, test_pairs = encoded
     search = SearchParams(beam_size, cfg.max_length, cfg.alpha)
-    lam = 0.0
+    lam, curve = 0.0, []
     if algorithm == "vbs":
         decode = lambda pair: vbs_decode(regular, pair.source, search, searches)
     elif algorithm == "bidis":
-        lam = select_lambda(regular, reverse, validation, search, cfg.lambda_grid, searches)
+        lam, curve = select_lambda(regular, reverse, validation, search, cfg.lambda_grid, searches)
         params = BidiSParams(search, lam)
         decode = lambda pair: bidis_decode(regular, reverse, pair.source, params, searches)
     else:
-        measure = _build_measure(cfg, vocab, BLEU_T if algorithm == "bidia-bleu" else WMD_T)
+        measure = measures[algorithm]
         decode = lambda pair: bidia_decode(
             regular, reverse, pair.source, search, measure, searches
         )
@@ -436,16 +448,16 @@ def _decode_cell(
         _write_beams_jsonl(
             out / f"beams_{algorithm}_nb{beam_size}.jsonl", test_pairs, outputs, algorithm, beam_size
         )
-    return lam, _evaluate(test_pairs, outputs)
+    return (lam, curve), _evaluate(test_pairs, outputs)
 
 
 def cmd_decode(cfg: RunConfig) -> int:
-    models, encoded = _load_grid(cfg, (cfg.algorithm,), (cfg.beam_size,))
-    lam, (bleu, d1, d2) = _decode_cell(
-        cfg, cfg.algorithm, cfg.beam_size, models, encoded, {},
+    models, encoded, measures = _load_grid(cfg, (cfg.algorithm,), (cfg.beam_size,))
+    (lam, curve), (bleu, d1, d2) = _decode_cell(
+        cfg, cfg.algorithm, cfg.beam_size, models, encoded, measures, {},
         f"decodes_{cfg.algorithm}.csv", cfg.save_beams,
     )
-    extra = {"lambda_selected": lam} if cfg.algorithm == "bidis" else None
+    extra = {"lambda_selected": lam, "lambda_curve": curve} if cfg.algorithm == "bidis" else None
     _write_config(Path(cfg.out), "decode", cfg, extra)
     print(
         f"{cfg.algorithm}: decoded {len(encoded[1])} test pairs, "
@@ -455,9 +467,10 @@ def cmd_decode(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    models, encoded = _load_grid(cfg, cfg.algorithms, cfg.nb_list)
+    models, encoded, measures = _load_grid(cfg, cfg.algorithms, cfg.nb_list)
     out = Path(cfg.out)
     selected_lambdas: dict[str, float] = {}
+    lambda_curves: dict[str, list] = {}
     # One search memo for the whole sweep: bidis re-ranks the vbs beam,
     # both bidia measures share their half-beam searches, bidia's regular
     # half is vbs at half the beam size, and a repeated source (validation
@@ -468,15 +481,18 @@ def cmd_sweep(cfg: RunConfig) -> int:
         writer.writerow(SWEEP_HEADER)
         for nb in cfg.nb_list:
             for algorithm in cfg.algorithms:
-                lam, (bleu, d1, d2) = _decode_cell(
-                    cfg, algorithm, nb, models, encoded, searches,
+                (lam, curve), (bleu, d1, d2) = _decode_cell(
+                    cfg, algorithm, nb, models, encoded, measures, searches,
                     f"decodes_{algorithm}_nb{nb}.csv", True,
                 )
                 if algorithm == "bidis":
                     selected_lambdas[str(nb)] = lam
+                    lambda_curves[str(nb)] = curve
                 writer.writerow((algorithm, nb, f"{bleu:.6f}", f"{d1:.6f}", f"{d2:.6f}"))
                 print(f"swept {algorithm} at beam size {nb}: BLEU-4 {bleu:.3f}")
-    _write_config(out, "sweep", cfg, {"lambda_selected": selected_lambdas})
+    _write_config(
+        out, "sweep", cfg, {"lambda_selected": selected_lambdas, "lambda_curve": lambda_curves}
+    )
     return 0
 
 

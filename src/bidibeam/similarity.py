@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .corpus import Vocabulary, numbered_lines, read_user_text
 from .errors import DegeneratePairError, FormatError, ParameterError
@@ -251,8 +250,12 @@ def solve_transport(problem: TransportProblem) -> tuple[np.ndarray, float]:
 
     Returns the optimal flow matrix and its total cost.  The LP is solved
     with a simplex method, so the flow is an exact vertex solution; the cost
-    is recomputed from the returned flow.
+    is recomputed from the returned flow.  scipy's LP solver is imported
+    here, at the first solve, so a process that never solves a transport
+    LP never loads it.
     """
+    from scipy.optimize import linprog
+
     supply, demand, cost = problem.supply, problem.demand, problem.cost
     if abs(supply.sum() - demand.sum()) > 1e-9:
         raise ParameterError("supply and demand totals differ by more than 1e-9")

@@ -409,8 +409,20 @@ def oracle_best_hypothesis(cores: Sequence[Sequence], ref: Sequence) -> int:
 
 def oracle_select_lambda(regular, reverse, validation, search, grid) -> float:
     """The weight of ``grid`` whose re-ranked validation selections score
-    the highest corpus BLEU-4, every weight scored from scratch; ties keep
-    the smallest weight, and an empty split takes the smallest weight.
+    the highest corpus BLEU-4 on ``oracle_lambda_curve``; ties keep the
+    smallest weight, and an empty split takes the smallest weight."""
+    curve = oracle_lambda_curve(regular, reverse, validation, search, grid)
+    best_lambda, best_bleu = min(grid), -1.0
+    for lam, bleu in curve:
+        if bleu > best_bleu:
+            best_lambda, best_bleu = lam, bleu
+    return best_lambda
+
+
+def oracle_lambda_curve(regular, reverse, validation, search, grid) -> list[tuple[float, float]]:
+    """(weight, corpus BLEU-4 of its re-ranked validation selections) for
+    each weight of ``grid`` in ascending order, every weight scored from
+    scratch; empty for an empty split.
 
     Each beam comes from ``reference_vbs``.  A member's two terms are its
     regular log-probability and the reverse model's chain-rule sum over its
@@ -418,9 +430,8 @@ def oracle_select_lambda(regular, reverse, validation, search, grid) -> float:
     weight w selects the member of highest term1 + w * term2, ties by
     tokens.
     """
-    grid = sorted(grid)
     if not validation:
-        return grid[0]
+        return []
     b, t, alpha = search.beam_size, search.max_length, search.alpha
     beams = []
     for pair in validation:
@@ -435,16 +446,14 @@ def oracle_select_lambda(regular, reverse, validation, search, grid) -> float:
             lp = oracle_length_penalty(len(tokens), alpha)
             members.append((tokens, core, logprob / lp, reverse_logprob / lp))
         beams.append((pair.target, members))
-    best_lambda, best_bleu = None, -1.0
-    for lam in grid:
+    curve = []
+    for lam in sorted(grid):
         selections = []
         for target, members in beams:
             pick = min(members, key=lambda m: (-(m[2] + lam * m[3]), m[0]))
             selections.append((pick[1], target))
-        bleu = oracle_corpus_bleu4(selections)
-        if bleu > best_bleu:
-            best_lambda, best_bleu = lam, bleu
-    return best_lambda
+        curve.append((lam, oracle_corpus_bleu4(selections)))
+    return curve
 
 
 def oracle_word_position_frequency(

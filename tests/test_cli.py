@@ -35,6 +35,7 @@ from bidibeam.synth import (
 from oracles import (
     oracle_best_hypothesis,
     oracle_corpus_bleu4,
+    oracle_lambda_curve,
     oracle_select_lambda,
     oracle_word_position_frequency,
 )
@@ -326,6 +327,9 @@ class TestDecode:
         assert (trained / "decodes_bidis.csv").is_file()
         resolved = json.loads((trained / "config_decode.json").read_text(encoding="utf-8"))
         assert resolved["lambda_selected"] in (0.0, 0.5, 1.0)
+        curve = resolved["lambda_curve"]
+        assert [lam for lam, _ in curve] == [0.0, 0.5, 1.0]
+        assert resolved["lambda_selected"] == max(curve, key=lambda point: point[1])[0]
 
     def test_bidia_wmd_needs_embeddings(self, workspace, trained, capsys):
         assert decode_into(workspace, trained, "--algorithm", "bidia-wmd") == 1
@@ -452,6 +456,29 @@ def test_non_utf8_user_file_is_named(workspace, trained, tmp_path, capsys, setup
     assert "runtime error" not in err
 
 
+@pytest.mark.parametrize("flag", ["embeddings", "stopwords"])
+def test_sweep_rejects_a_bad_wmd_resource_before_any_cell(workspace, trained, tmp_path, capsys, flag):
+    argv = bad_wmd_resource(flag)(workspace, trained, tmp_path)
+    capsys.readouterr()
+    assert main(["sweep", *argv[1:], "--algorithms", "vbs,bidia-wmd", "--nb-list", "2,4"]) == 1
+    assert f"bad_{flag}.txt: line 2: not valid UTF-8" in capsys.readouterr().err
+    assert not list(trained.glob("decodes_*")) and not (trained / "sweep.csv").exists()
+
+
+def test_sweep_reads_the_wmd_resources_once(workspace, trained, monkeypatch):
+    """Every bidia-wmd cell of a sweep shares one measure, built before the first cell."""
+    loads = Counter()
+    for name in ("load_embeddings", "default_stopwords"):
+        def counted(*args, load=getattr(cli, name), name=name):
+            loads[name] += 1
+            return load(*args)
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["sweep", "--corpus", str(workspace.corpus), *BASE_FLAGS, "--nb-list", "2,4,8",
+                 "--algorithms", "bidia-bleu,bidia-wmd", "--embeddings", str(workspace.embeddings),
+                 "--out", str(trained)]) == 0
+    assert loads == {"load_embeddings": 1, "default_stopwords": 1}
+
+
 @pytest.fixture(scope="module")
 def swept(workspace, tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
@@ -516,7 +543,7 @@ class TestSweep:
 
     def test_lambda_recorded_per_beam_size(self, swept):
         resolved = json.loads((swept / "config_sweep.json").read_text(encoding="utf-8"))
-        assert set(resolved["lambda_selected"]) == {"2"}
+        assert set(resolved["lambda_selected"]) == set(resolved["lambda_curve"]) == {"2"}
         assert resolved["lambda_selected"]["2"] in (0.0, 0.5)
 
     def test_vbs_only_beam_size_ladder(self, workspace, tmp_path):
@@ -612,10 +639,13 @@ def persisted_selections(path):
 # Corpora on which validation BLEU picks a weight above the smallest one.
 @example(33, 4, 2, [2, 4], [0.0, 0.25, 0.5, 1.0, 2.0])
 @example(30, 1, 2, [4, 2], [2.0, 1.0, 0.0])
+# A corpus whose curve is all zeros: the smallest weight wins by the tie rule.
+@example(30, 0, 0, [2, 4], [2.0, 0.5, 0.0])
 def test_sweep_equals_the_oracles(size, corpus_seed, split_seed, beam_sizes, grid):
-    """train -> sweep on a small corpus: every recorded weight is the one
-    the oracle selects on the loaded models and the validation split, and
-    every BLEU-4 cell is the oracle's corpus BLEU-4 of its persisted picks."""
+    """train -> sweep on a small corpus: every recorded weight and
+    validation curve is the one the oracle gives on the loaded models and
+    the validation split, and every BLEU-4 cell is the oracle's corpus
+    BLEU-4 of its persisted picks."""
     with tempfile.TemporaryDirectory() as root:
         corpus, out = Path(root) / "corpus.tsv", Path(root) / "run"
         write_corpus_tsv(synthetic_pairs(size, seed=corpus_seed), corpus)
@@ -631,11 +661,15 @@ def test_sweep_equals_the_oracles(size, corpus_seed, split_seed, beam_sizes, gri
         reverse = ConditionalNGramLM.load(out / "lm_reverse.json", vocab)
         split = split_corpus(load_corpus(corpus), resolved["split"], split_seed)
         validation = encode_pairs(split.validation, vocab)
+        searches = {nb: SearchParams(nb, resolved["max_length"], resolved["alpha"])
+                    for nb in beam_sizes}
         assert resolved["lambda_selected"] == {
-            str(nb): oracle_select_lambda(
-                regular, reverse, validation,
-                SearchParams(nb, resolved["max_length"], resolved["alpha"]), grid)
-            for nb in beam_sizes}
+            str(nb): oracle_select_lambda(regular, reverse, validation, search, grid)
+            for nb, search in searches.items()}
+        assert resolved["lambda_curve"] == {
+            str(nb): [[lam, bleu] for lam, bleu in
+                      oracle_lambda_curve(regular, reverse, validation, search, grid)]
+            for nb, search in searches.items()}
         for algorithm, nb, bleu, _, _ in read_csv(out / "sweep.csv")[1:]:
             selections = persisted_selections(out / f"beams_{algorithm}_nb{nb}.jsonl")
             assert bleu == f"{oracle_corpus_bleu4(selections):.6f}"

@@ -12,7 +12,7 @@ from bidibeam.lm import REGULAR, REVERSE
 from bidibeam.similarity import BLEU_T, SimilaritySpec
 
 from conftest import RandomTableLM, TieLM, dummy_vocab, wmd_measures
-from oracles import oracle_select_lambda
+from oracles import oracle_lambda_curve, oracle_select_lambda
 
 MODELS = {"random": RandomTableLM, "ties": TieLM}
 SOURCES = ((4,), (5,), (4, 5))
@@ -74,8 +74,9 @@ def test_shared_memo_matches_memo_free_decodes(data):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(1, 5), st.data())
 def test_select_lambda_matches_per_weight_bleu(seed, b, t, data):
-    """select_lambda picks the weight that scoring every weight's
-    selections from scratch picks, with or without a search memo."""
+    """select_lambda picks the weight, and records the curve, that scoring
+    every weight's selections from scratch gives, with or without a search
+    memo."""
     vocab = dummy_vocab(7)
     regular = RandomTableLM(vocab, seed, direction=REGULAR)
     reverse = RandomTableLM(vocab, seed + 1, direction=REVERSE)
@@ -90,7 +91,8 @@ def test_select_lambda_matches_per_weight_bleu(seed, b, t, data):
         validation.append(SentencePair(source, target))
     grid = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 4.0]),
                               min_size=1, max_size=6, unique=True))
-    expected = oracle_select_lambda(regular, reverse, validation, search, grid)
+    expected = (oracle_select_lambda(regular, reverse, validation, search, grid),
+                oracle_lambda_curve(regular, reverse, validation, search, grid))
     searches: dict = {}
     assert select_lambda(regular, reverse, validation, search, grid) == expected
     assert select_lambda(regular, reverse, validation, search, grid, searches) == expected
@@ -101,7 +103,7 @@ def test_select_lambda_empty_validation_takes_smallest_weight():
     vocab = dummy_vocab(6)
     regular = RandomTableLM(vocab, 1, direction=REGULAR)
     reverse = RandomTableLM(vocab, 2, direction=REVERSE)
-    assert select_lambda(regular, reverse, [], SearchParams(2, 3), [2.0, 0.5, 1.0]) == 0.5
+    assert select_lambda(regular, reverse, [], SearchParams(2, 3), [2.0, 0.5, 1.0]) == (0.5, [])
 
 
 @pytest.mark.parametrize("grid", [[], [-1.0], [0.5, -0.25]])

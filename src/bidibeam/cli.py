@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
@@ -34,7 +35,7 @@ from .corpus import (
     split_corpus,
 )
 from .errors import BidibeamError, ConfigError
-from .evaluation import best_hypothesis, corpus_bleu4, distinct_n, rank_histogram, word_position_frequency
+from .evaluation import best_hypothesis, corpus_bleu4, distinct_n, rank_histogram, surface_position_frequency
 from .lm import ConditionalNGramLM, REGULAR, REVERSE
 from .similarity import (
     BLEU_T,
@@ -245,12 +246,15 @@ def _write_config(out: Path, command: str, cfg: RunConfig, extra: dict | None = 
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _prepare_splits(cfg: RunConfig) -> tuple:
+def _read_corpus(cfg: RunConfig) -> list[tuple[list[str], list[str]]]:
     try:
-        surface_pairs = load_corpus(cfg.corpus, cfg.format)
+        return load_corpus(cfg.corpus, cfg.format)
     except OSError as exc:
         raise ConfigError(f"cannot read corpus {cfg.corpus}: {exc}") from None
-    return split_corpus(surface_pairs, cfg.split, cfg.seed)
+
+
+def _prepare_splits(cfg: RunConfig) -> tuple:
+    return split_corpus(_read_corpus(cfg), cfg.split, cfg.seed)
 
 
 def _untrained(out: str | Path) -> ConfigError:
@@ -299,7 +303,8 @@ def _load_grid(cfg: RunConfig, algorithms: Sequence[str], beam_sizes: Sequence[i
     """Check the algorithm x beam-size grid, then load the models, the
     validation and test splits, each encoded once for every cell, and the
     similarity measure of each agreement algorithm, built once for every
-    beam size."""
+    beam size.  An empty test split stops the command here, before any
+    weight selection or output file."""
     _require(cfg, "corpus", "out")
     if any(a in _MEASURE_KINDS for a in algorithms):
         for nb in beam_sizes:
@@ -309,6 +314,8 @@ def _load_grid(cfg: RunConfig, algorithms: Sequence[str], beam_sizes: Sequence[i
                 )
     models = _load_models(cfg)
     split = _prepare_splits(cfg)
+    if not split.test:
+        raise ConfigError("test split is empty; adjust --split")
     encoded = (encode_pairs(split.validation, models[0]), encode_pairs(split.test, models[0]))
     measures = {
         algorithm: _build_measure(cfg, models[0], _MEASURE_KINDS[algorithm])
@@ -439,8 +446,6 @@ def _decode_cell(
         decode = lambda pair: bidia_decode(
             regular, reverse, pair.source, search, measure, searches
         )
-    if not test_pairs:
-        raise ConfigError("test split is empty; adjust --split")
     outputs = [decode(pair) for pair in test_pairs]
     out = Path(cfg.out)
     _write_decodes_csv(out / decodes_name, test_pairs, outputs, vocab)
@@ -496,9 +501,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_beam_records(path: Path, vocab_size: int) -> list[SimpleNamespace]:
-    """Read a persisted beam file, checking each record as it is read."""
-    ids = frozenset(range(vocab_size))
+def _load_beam_records(path: Path, ids: frozenset) -> list[SimpleNamespace]:
+    """Read a persisted beam file, checking each record as it is read;
+    ``ids`` holds the vocabulary's ids."""
     records = []
     for lineno, line in numbered_lines(read_user_text(path, ConfigError)):
         if not line:
@@ -513,42 +518,53 @@ def _load_beam_records(path: Path, vocab_size: int) -> list[SimpleNamespace]:
     return records
 
 
+def _id_list(value: object, ids: frozenset) -> bool:
+    """Whether ``value`` is a list whose every element equals one of ``ids``."""
+    try:
+        return type(value) is list and ids.issuperset(value)
+    except TypeError:  # an unhashable element, such as a nested list
+        return False
+
+
+def _bad_key(where: str, key: str, kind: str) -> ConfigError:
+    return ConfigError(f"{where}: key {key!r} must be {kind}")
+
+
 def _beam_record(record: object, ids: frozenset, where: str) -> SimpleNamespace:
     """The fields analyze reads from one persisted record, type- and range-checked.
 
     A token is valid when it equals one of ``ids``, the vocabulary's ids.
     """
-
-    def check(ok: bool, key: str, kind: str) -> None:
-        if not ok:
-            raise ConfigError(f"{where}: key {key!r} must be {kind}")
-
-    def id_list(value: object) -> bool:
-        try:
-            return type(value) is list and ids.issuperset(value)
-        except TypeError:  # an unhashable element, such as a nested list
-            return False
-
     if type(record) is not dict:
         raise ConfigError(f"{where}: expected a JSON object")
-    check(type(record.get("algorithm")) is str, "algorithm", "a string")
+    if type(record.get("algorithm")) is not str:
+        raise _bad_key(where, "algorithm", "a string")
     reference = record.get("reference")
-    check(reference and id_list(reference), "reference", "a non-empty list of vocabulary ids")
+    if not (reference and _id_list(reference, ids)):
+        raise _bad_key(where, "reference", "a non-empty list of vocabulary ids")
     beam = record.get("beam")
-    check(beam and type(beam) is list, "beam", "a non-empty list of objects")
+    if not (beam and type(beam) is list):
+        raise _bad_key(where, "beam", "a non-empty list of objects")
     hypotheses = []
     for member in beam:
-        check(type(member) is dict, "beam", "a non-empty list of objects")
+        if type(member) is not dict:
+            raise _bad_key(where, "beam", "a non-empty list of objects")
         tokens, logprob, finished = member.get("tokens"), member.get("logprob"), member.get("finished")
-        check(id_list(tokens), "tokens", "a list of vocabulary ids")
-        check(type(logprob) in (int, float), "logprob", "a number")
-        check(type(finished) is bool, "finished", "true or false")
-        # The Hypothesis invariant: EOS is the last token exactly when finished.
-        check((tokens[-1:] == [EOS_ID]) == finished and EOS_ID not in tokens[:-1], "tokens",
-              "a list of vocabulary ids ending in EOS exactly when finished, with no other EOS")
+        if not _id_list(tokens, ids):
+            raise _bad_key(where, "tokens", "a list of vocabulary ids")
+        if type(logprob) not in (int, float):
+            raise _bad_key(where, "logprob", "a number")
+        if type(finished) is not bool:
+            raise _bad_key(where, "finished", "true or false")
+        # The Hypothesis invariant: EOS is the last token exactly when
+        # finished, so a finished member holds one EOS and others none.
+        if tokens.count(EOS_ID) != finished or finished and tokens[-1] != EOS_ID:
+            raise _bad_key(where, "tokens", "a list of vocabulary ids ending in EOS exactly "
+                                            "when finished, with no other EOS")
         hypotheses.append(Hypothesis(tuple(tokens), logprob, finished))
     index = record.get("selected_index")
-    check(type(index) is int and 1 <= index <= len(beam), "selected_index", "an integer in 1..len(beam)")
+    if not (type(index) is int and 1 <= index <= len(beam)):
+        raise _bad_key(where, "selected_index", "an integer in 1..len(beam)")
     return SimpleNamespace(
         algorithm=record["algorithm"],
         reference=tuple(reference),
@@ -566,16 +582,15 @@ def cmd_analyze(cfg: RunConfig) -> int:
             f"no persisted beams under {out}; decode with --save-beams or run sweep first"
         )
     vocab = _load_vocab(cfg)
-    split = _prepare_splits(cfg)
-    all_pairs = encode_pairs(
-        list(split.train) + list(split.validation) + list(split.test), vocab
-    )
+    # The word-position tables count the target side of the whole corpus,
+    # so it is neither split nor encoded.
+    targets = [target for _, target in _read_corpus(cfg)]
 
+    ids = frozenset(range(vocab.size))
     cells = []
     for path in beam_files:
         match = _BEAMS_FILE_RE.match(path.name)
-        records = _load_beam_records(path, vocab.size)
-        cells.append((match.group("alg"), int(match.group("nb")), records))
+        cells.append((match.group("alg"), int(match.group("nb")), _load_beam_records(path, ids)))
     cells.sort(key=lambda cell: (cell[0], cell[1]))
 
     with open(out / "rank_histogram.csv", "w", encoding="utf-8", newline="") as handle:
@@ -617,7 +632,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         writer.writerow(WORD_POSITION_HEADER)
         for order in ("regular", "reverse"):
             for position in (1, 2, 3):
-                ranked = word_position_frequency(all_pairs, vocab, position, order)
+                ranked = surface_position_frequency(targets, vocab, position, order)
                 for rank, (word, count) in enumerate(ranked, start=1):
                     writer.writerow((order, position, rank, word, count))
 
@@ -665,7 +680,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every in-process ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="bidibeam",
         description="Train direction models and decode with beam search variants.",

@@ -12,21 +12,28 @@ from .corpus import SentencePair, Vocabulary
 from .errors import ParameterError
 from .similarity import BLEU_ORDER, bleu4_from_counts, bp_t, clip_counts, geometric_mean, ngram_table
 
-# A BLEU memo maps a reference (a token tuple) to its ``ngram_table`` and
-# to the clipped n-gram matches and candidate n-gram totals of each
-# candidate counted against it.  Every entry is a pure function of its
-# keys, so one memo can be shared by any number of calls; a call given
-# none uses a fresh one.
-BleuMemo = dict[tuple, tuple[Counter, dict[tuple, tuple[list[int], list[int]]]]]
+# A BLEU memo maps a reference (a token tuple) to one entry of three parts:
+# the reference's ``ngram_table``; the clipped n-gram matches and candidate
+# n-gram totals of each candidate counted against it; and the sentence
+# BLEU-4 of each candidate that ``best_hypothesis`` has scored against it.
+# Every part is a pure function of its keys, so one memo can be shared by
+# any number of calls; a call given none uses a fresh one.
+BleuEntry = tuple[Counter, dict[tuple, tuple[list[int], list[int]]], dict[tuple, float]]
+BleuMemo = dict[tuple, BleuEntry]
 
 
-def _counts(candidate: tuple, reference: tuple, memo: BleuMemo) -> tuple[list[int], list[int]]:
-    """The pair's clipped counts from ``memo``, counted on a miss; the
-    reference's n-grams are counted once per memo."""
+def _entry(reference: tuple, memo: BleuMemo) -> BleuEntry:
+    """The memo entry of ``reference``; its n-grams are counted once per memo."""
     entry = memo.get(reference)
     if entry is None:
-        entry = memo[reference] = (ngram_table(reference), {})
-    table, by_candidate = entry
+        entry = memo[reference] = (ngram_table(reference), {}, {})
+    return entry
+
+
+def _counts(candidate: tuple, entry: BleuEntry) -> tuple[list[int], list[int]]:
+    """The clipped counts of ``candidate`` against the entry's reference,
+    counted on a miss."""
+    table, by_candidate, _ = entry
     counts = by_candidate.get(candidate)
     if counts is None:
         counts = by_candidate[candidate] = clip_counts(ngram_table(candidate), len(candidate), table)
@@ -53,7 +60,7 @@ def corpus_bleu4(
     totals = [0] * BLEU_ORDER
     candidate_length = reference_length = 0
     for candidate, reference in pairs:
-        pair_matches, pair_totals = _counts(tuple(candidate), tuple(reference), memo)
+        pair_matches, pair_totals = _counts(tuple(candidate), _entry(tuple(reference), memo))
         for n in range(BLEU_ORDER):
             matches[n] += pair_matches[n]
             totals[n] += pair_totals[n]
@@ -90,7 +97,7 @@ def sentence_bleu4(candidate: Sequence, reference: Sequence) -> float:
     """Sentence BLEU-4 with add-1 smoothing and the standard brevity penalty."""
     if not reference:
         raise ParameterError("reference must be non-empty")
-    counts = _counts(tuple(candidate), tuple(reference), {})
+    counts = _counts(tuple(candidate), _entry(tuple(reference), {}))
     return bleu4_from_counts(len(candidate), len(reference), *counts)
 
 
@@ -101,7 +108,9 @@ def best_hypothesis(
 
     This is the ideal re-ranking oracle: an upper bound on what any
     beam re-scoring strategy could select.  Ties keep the lowest rank.
-    Members are looked up in ``memo`` first.
+    The reference's entry is looked up in ``memo`` once, and each member's
+    score in that entry; a member not scored yet is scored from its
+    clipped counts and kept there.
     """
     if not beam:
         raise ParameterError("beam must be non-empty")
@@ -110,11 +119,15 @@ def best_hypothesis(
     if memo is None:
         memo = {}
     reference = tuple(reference)
+    entry = _entry(reference, memo)
+    scores = entry[2]
     best_rank = 0
     best_score = -1.0
     for i, hyp in enumerate(beam):
         core = hyp.core()
-        score = bleu4_from_counts(len(core), len(reference), *_counts(core, reference, memo))
+        score = scores.get(core)
+        if score is None:
+            score = scores[core] = bleu4_from_counts(len(core), len(reference), *_counts(core, entry))
         if score > best_score:
             best_score = score
             best_rank = i
@@ -147,6 +160,39 @@ def rank_histogram(runs: Sequence[DecodeOutput], beam_size: int) -> RankHistogra
     return RankHistogram(counts)
 
 
+def _position_index(position: int, order: str, top_k: int) -> int:
+    """The target index of ``position`` counted from the ``order`` end,
+    after checking the arguments of a word-position table."""
+    if position not in (1, 2, 3):
+        raise ParameterError("position must be 1, 2 or 3")
+    if top_k < 1:
+        raise ParameterError("top_k must be >= 1")
+    if order not in ("regular", "reverse"):
+        raise ParameterError(f"unknown order {order!r}")
+    return position - 1 if order == "regular" else -position
+
+
+def _top_words(ids: Counter, vocab: Vocabulary, top_k: int) -> list[tuple[str, int]]:
+    """The ``top_k`` words of an id count by descending count, ties by word.
+
+    Only the words whose count reaches the top_k-th count are mapped and
+    sorted.  Ids are checked in order of first occurrence, so the first id
+    outside ``vocab`` raises, naming it.
+    """
+    size = vocab.size
+    for token_id in ids:
+        if not 0 <= token_id < size:
+            vocab.surface_for(token_id)  # raises, naming the id
+    # Only words counted at least as often as the top_k-th word can rank;
+    # ties at that count are all kept so the word order settles them.
+    cut = sorted(ids.values())[-top_k] if len(ids) > top_k else 0
+    ranked = sorted(
+        ((vocab.surface_for(token_id), count) for token_id, count in ids.items() if count >= cut),
+        key=lambda item: (-item[1], item[0]),
+    )
+    return ranked[:top_k]
+
+
 def word_position_frequency(
     pairs: Sequence[SentencePair],
     vocab: Vocabulary,
@@ -159,26 +205,29 @@ def word_position_frequency(
     With order "reverse" positions count from the end, so position 1
     counts sentence-final words; short sentences skip positions past
     their length.  Ties break lexicographically after descending count.
-    The ids at the position are counted in one ``Counter``; only the
-    words whose count reaches the top_k-th count are mapped and sorted.
+    The ids at the position are counted in one ``Counter``.
     """
-    if position not in (1, 2, 3):
-        raise ParameterError("position must be 1, 2 or 3")
-    if top_k < 1:
-        raise ParameterError("top_k must be >= 1")
-    if order not in ("regular", "reverse"):
-        raise ParameterError(f"unknown order {order!r}")
-    index = position - 1 if order == "regular" else -position
+    index = _position_index(position, order, top_k)
     ids = Counter([pair.target[index] for pair in pairs if len(pair.target) >= position])
-    size = vocab.size
-    for token_id in ids:  # in order of first occurrence
-        if not 0 <= token_id < size:
-            vocab.surface_for(token_id)  # raises, naming the id
-    # Only words counted at least as often as the top_k-th word can rank;
-    # ties at that count are all kept so the word order settles them.
-    cut = sorted(ids.values())[-top_k] if len(ids) > top_k else 0
-    ranked = sorted(
-        ((vocab.surface_for(token_id), count) for token_id, count in ids.items() if count >= cut),
-        key=lambda item: (-item[1], item[0]),
-    )
-    return ranked[:top_k]
+    return _top_words(ids, vocab, top_k)
+
+
+def surface_position_frequency(
+    targets: Sequence[Sequence[str]],
+    vocab: Vocabulary,
+    position: int,
+    order: str = "regular",
+    top_k: int = 50,
+) -> list[tuple[str, int]]:
+    """``word_position_frequency`` over tokenized target sides, without
+    encoding them first.
+
+    Each distinct word at the position is counted once and then looked up
+    with ``vocab.id_for``, so words outside the vocabulary merge into UNK
+    exactly as ``encode_pairs`` would merge them.
+    """
+    index = _position_index(position, order, top_k)
+    ids: Counter = Counter()
+    for word, count in Counter([t[index] for t in targets if len(t) >= position]).items():
+        ids[vocab.id_for(word)] += count
+    return _top_words(ids, vocab, top_k)

@@ -7,6 +7,7 @@ whole file stays fast while still exercising the real file formats.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -280,6 +281,31 @@ class TestOptions:
         from_file = config_of(["--config", str(config)])
         assert from_flag == from_file
         assert from_flag != cli.RunConfig()
+
+    def test_cached_parser_keeps_no_state(self, workspace, trained, tmp_path, capsys):
+        """One parser serves every in-process call, and a call leaves nothing
+        behind: options and config files of one call do not reach the next."""
+        cli.build_parser.cache_clear()
+        assert cli.build_parser() is cli.build_parser()
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha = 0.3\nmin_count = 2\n", encoding="utf-8")
+        assert decode_into(workspace, trained, "--save-beams", "--config", str(config)) == 0
+        first = json.loads((trained / "config_decode.json").read_text(encoding="utf-8"))
+        assert (first["save_beams"], first["alpha"], first["min_count"]) == (True, 0.3, 2)
+        assert decode_into(workspace, trained) == 0
+        second = json.loads((trained / "config_decode.json").read_text(encoding="utf-8"))
+        argv = ["decode", "--corpus", str(workspace.corpus), *BASE_FLAGS, "--out", str(trained)]
+        fresh = cli.build_config(cli.build_parser.__wrapped__().parse_args(argv))
+        assert second == json.loads(json.dumps({**dataclasses.asdict(fresh), "command": "decode"}))
+        assert (second["save_beams"], second["alpha"], second["min_count"]) == (False, 0.6, 1)
+        capsys.readouterr()
+        for argv in (["--help"], ["analyze", "--help"], ["decode", "--no-such-flag"]):
+            calls = []
+            for _ in range(2):
+                code = main(argv)
+                calls.append((code, *capsys.readouterr()))
+            assert calls[0] == calls[1]
+            assert calls[0][0] == (1 if "--no-such-flag" in argv else 0)
 
     @pytest.mark.parametrize("key, value", BAD_VALUES)
     def test_bad_value_names_its_source(self, workspace, tmp_path, capsys, key, value):
@@ -603,6 +629,24 @@ class TestSweep:
         assert code == 1
         assert "must be even" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "decode"])
+    def test_empty_test_split_stops_before_any_decoding(
+        self, workspace, trained, capsys, monkeypatch, command
+    ):
+        """An empty test split exits 1 before bidis selects its weight and
+        before any output file is written."""
+        selections = []
+        monkeypatch.setattr(cli, "select_lambda", lambda *args: selections.append(args))
+        before = set(trained.iterdir())
+        capsys.readouterr()
+        code = main([command, "--corpus", str(workspace.corpus), *BASE_FLAGS,
+                     "--split", "0.5,0.5,0", "--algorithms", "bidis,vbs", "--nb-list", "2",
+                     "--algorithm", "bidis", "--out", str(trained)])
+        assert code == 1
+        assert "test split is empty" in capsys.readouterr().err
+        assert selections == []
+        assert set(trained.iterdir()) == before
+
     def test_cell_with_only_empty_outputs_scores_distinct_zero(self, tmp_path):
         # At k=1000 the smoothing swamps the counts and the empty output wins
         # every sentence; the sweep still finishes every cell.
@@ -736,6 +780,54 @@ class TestSearchMemo:
                 assert (alone / beams).read_bytes() == (out / beams).read_bytes()
 
 
+def oracle_reports(out, corpus):
+    """``rank_histogram.csv``, ``oracle_bleu.csv`` and ``word_position.csv``
+    as the oracles build them from the beam files under ``out`` and the
+    whole ``corpus``, by file name."""
+    cells = []
+    for path in out.glob("beams_*.jsonl"):
+        algorithm, nb = re.fullmatch(r"beams_(.+)_nb(\d+)\.jsonl", path.name).groups()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells.append((algorithm, int(nb), [json.loads(line) for line in lines]))
+    cells.sort(key=lambda cell: cell[:2])
+    assert len(cells) == 4
+
+    def core(member):
+        return member["tokens"][:-1] if member["finished"] else member["tokens"]
+
+    ranks = [["algorithm", "beam_size", "rank", "count"]]
+    oracle = [["algorithm", "beam_size", "algorithm_bleu4", "oracle_bleu4"]]
+    for algorithm, nb, records in cells:
+        counts = Counter(r["selected_index"] for r in records)
+        size = max(len(r["beam"]) for r in records)
+        ranks += [[algorithm, nb, rank, counts[rank]] for rank in range(1, size + 1)]
+        selected, best = [], []
+        for r in records:
+            cores = [core(member) for member in r["beam"]]
+            pick = r["selected_index"] - 1 if r["algorithm"].startswith("bidia") else 0
+            selected.append((cores[pick], r["reference"]))
+            best.append((cores[oracle_best_hypothesis(cores, r["reference"]) - 1], r["reference"]))
+        oracle.append([algorithm, nb, f"{oracle_corpus_bleu4(selected):.6f}",
+                       f"{oracle_corpus_bleu4(best):.6f}"])
+
+    vocab = Vocabulary.load(out / "vocab.txt")
+    pairs = encode_pairs(load_corpus(corpus), vocab)
+    positions = [["order", "position", "rank", "word", "count"]]
+    for order in ("regular", "reverse"):
+        for position in (1, 2, 3):
+            ranked = oracle_word_position_frequency(pairs, vocab, position, order)
+            positions += [[order, position, rank, word, count]
+                          for rank, (word, count) in enumerate(ranked, start=1)]
+
+    reports = {}
+    for name, rows in (("rank_histogram.csv", ranks), ("oracle_bleu.csv", oracle),
+                       ("word_position.csv", positions)):
+        text = io.StringIO()
+        csv.writer(text).writerows(rows)
+        reports[name] = text.getvalue()
+    return reports
+
+
 class TestAnalyze:
     def test_reports_exist(self, analyzed):
         for name in ("rank_histogram.csv", "oracle_bleu.csv", "word_position.csv"):
@@ -768,47 +860,45 @@ class TestAnalyze:
     def test_reports_equal_an_oracle_rebuild(self, workspace, analyzed):
         """The three reports, rebuilt from the persisted beams and the corpus
         with the oracles alone, equal the files analyze wrote."""
-        cells = []
-        for path in analyzed.glob("beams_*.jsonl"):
-            algorithm, nb = re.fullmatch(r"beams_(.+)_nb(\d+)\.jsonl", path.name).groups()
-            lines = path.read_text(encoding="utf-8").splitlines()
-            cells.append((algorithm, int(nb), [json.loads(line) for line in lines]))
-        cells.sort(key=lambda cell: cell[:2])
-        assert len(cells) == 4
-
-        def core(member):
-            return member["tokens"][:-1] if member["finished"] else member["tokens"]
-
-        ranks = [["algorithm", "beam_size", "rank", "count"]]
-        oracle = [["algorithm", "beam_size", "algorithm_bleu4", "oracle_bleu4"]]
-        for algorithm, nb, records in cells:
-            counts = Counter(r["selected_index"] for r in records)
-            size = max(len(r["beam"]) for r in records)
-            ranks += [[algorithm, nb, rank, counts[rank]] for rank in range(1, size + 1)]
-            selected, best = [], []
-            for r in records:
-                cores = [core(member) for member in r["beam"]]
-                pick = r["selected_index"] - 1 if r["algorithm"].startswith("bidia") else 0
-                selected.append((cores[pick], r["reference"]))
-                best.append((cores[oracle_best_hypothesis(cores, r["reference"]) - 1], r["reference"]))
-            oracle.append([algorithm, nb, f"{oracle_corpus_bleu4(selected):.6f}",
-                           f"{oracle_corpus_bleu4(best):.6f}"])
-
-        vocab = Vocabulary.load(analyzed / "vocab.txt")
-        pairs = encode_pairs(load_corpus(workspace.corpus), vocab)
-        positions = [["order", "position", "rank", "word", "count"]]
-        for order in ("regular", "reverse"):
-            for position in (1, 2, 3):
-                ranked = oracle_word_position_frequency(pairs, vocab, position, order)
-                positions += [[order, position, rank, word, count]
-                              for rank, (word, count) in enumerate(ranked, start=1)]
-
-        for name, rows in (("rank_histogram.csv", ranks), ("oracle_bleu.csv", oracle),
-                           ("word_position.csv", positions)):
-            want = io.StringIO()
-            csv.writer(want).writerows(rows)
+        for name, text in oracle_reports(analyzed, workspace.corpus).items():
             with open(analyzed / name, encoding="utf-8", newline="") as handle:
-                assert handle.read() == want.getvalue(), name
+                assert handle.read() == text, name
+
+    def test_reads_the_corpus_once_without_splitting_or_encoding(
+        self, workspace, analyzed, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(analyzed, out)
+        for name in ("rank_histogram.csv", "oracle_bleu.csv", "word_position.csv"):
+            (out / name).unlink()
+        loads = []
+
+        def load_corpus(*args, load=cli.load_corpus):
+            loads.append(args)
+            return load(*args)
+
+        def refuse(*args):
+            raise AssertionError("analyze needs no split and no encoded pairs")
+
+        monkeypatch.setattr(cli, "load_corpus", load_corpus)
+        monkeypatch.setattr(cli, "split_corpus", refuse)
+        monkeypatch.setattr(cli, "encode_pairs", refuse)
+        argv = ["analyze", "--corpus", str(workspace.corpus), *BASE_FLAGS, "--out", str(out)]
+        assert main(argv) == 0
+        assert len(loads) == 1
+        for name, text in oracle_reports(out, workspace.corpus).items():
+            with open(out / name, encoding="utf-8", newline="") as handle:
+                assert handle.read() == text, name
+
+    def test_corpus_deleted_after_sweep_is_named(self, workspace, analyzed, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        shutil.copy(workspace.corpus, corpus)
+        shutil.copytree(analyzed, tmp_path / "run")
+        corpus.unlink()
+        argv = ["analyze", "--corpus", str(corpus), *BASE_FLAGS, "--out", str(tmp_path / "run")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert f"error: cannot read corpus {corpus}" in capsys.readouterr().err
 
     def test_without_beams_points_at_save_beams(self, workspace, tmp_path, capsys):
         out = tmp_path / "run"

@@ -17,6 +17,7 @@ from bidibeam.evaluation import (
     distinct_n,
     rank_histogram,
     sentence_bleu4,
+    surface_position_frequency,
     word_position_frequency,
 )
 
@@ -245,6 +246,42 @@ class TestSharedBleuMemo:
         assert len({oracle_sentence_bleu4(candidate, reference)
                     for candidate in (shared, other) for reference in (first, second)}) == 4
 
+    @settings(max_examples=100, deadline=None)
+    @given(CASES)
+    def test_cached_scores_equal_the_oracles(self, cases):
+        """Every sentence score that one shared memo keeps is the oracle's
+        score of its own (candidate, reference) pair, so ranks follow the
+        oracle's, ties included (the lowest rank wins)."""
+        memo = {}
+        for bodies, reference in cases + cases[::-1]:
+            # Repeated members tie exactly; the oracle keeps the first.
+            beam = [Hypothesis(b + (EOS_ID,), -1.0, True) for b in bodies + bodies[::-1]]
+            hyp, rank = best_hypothesis(beam, reference, memo)
+            assert rank == oracle_best_hypothesis([h.core() for h in beam], reference)
+            assert hyp is beam[rank - 1]
+            _, _, scores = memo[reference]
+            assert set(bodies) <= set(scores)
+            for body, score in scores.items():
+                assert score == oracle_sentence_bleu4(body, reference)
+                assert sentence_bleu4(body, reference) == score
+            pairs = [(body, reference) for body in bodies]
+            assert corpus_bleu4(pairs, memo) == oracle_corpus_bleu4(pairs)
+
+    def test_one_candidate_keeps_a_score_per_reference(self):
+        candidate, first, second = (4, 5, 6, 7), (4, 5, 6, 7, 4), (7, 6, 5, 4)
+        memo = {}
+        beam = [Hypothesis(candidate + (EOS_ID,), -1.0, True)]
+        for reference in (first, second, first):
+            best_hypothesis(beam, reference, memo)
+        scores = [memo[reference][2][candidate] for reference in (first, second)]
+        assert scores == [oracle_sentence_bleu4(candidate, r) for r in (first, second)]
+        assert scores[0] != scores[1]
+
+    def test_corpus_bleu_scores_no_sentence(self):
+        memo = {}
+        corpus_bleu4([((4, 5), (4, 5, 6)), ((6,), (6, 7))], memo)
+        assert [scores for _, _, scores in memo.values()] == [{}, {}]
+
 
 def fake_run(index):
     hyp = Hypothesis((4, EOS_ID), -1.0, True)
@@ -339,6 +376,20 @@ class TestWordPositionFrequency:
         assert (word_position_frequency(pairs, vocab, position, order, top_k)
                 == oracle_word_position_frequency(pairs, vocab, position, order, top_k))
 
+    @given(st.lists(st.lists(st.sampled_from("abcdefghijkl"), min_size=1, max_size=6),
+                    min_size=1, max_size=30),
+           st.sets(st.sampled_from("abcdefghijkl")),
+           st.sampled_from(["regular", "reverse"]),
+           st.integers(1, 3),
+           st.integers(1, 5))
+    def test_surface_targets_equal_encoded_targets(self, targets, known, order, position, top_k):
+        """Counting words before encoding them gives the table of the encoded
+        corpus, with the words outside the vocabulary merged into UNK."""
+        vocab = build_vocabulary([(["q"], sorted(known) or ["q"])])
+        pairs = encode_pairs([(["q"], t) for t in targets], vocab)
+        assert (surface_position_frequency(targets, vocab, position, order, top_k)
+                == oracle_word_position_frequency(pairs, vocab, position, order, top_k))
+
     @pytest.mark.parametrize("order", ["regular", "reverse"])
     def test_out_of_range_id_raises_like_oracle(self, order):
         _, vocab = self.corpus([["a"], ["b"]])
@@ -358,3 +409,6 @@ class TestWordPositionFrequency:
             word_position_frequency(pairs, vocab, 1, order="shuffled")
         with pytest.raises(ParameterError):
             word_position_frequency(pairs, vocab, 1, top_k=0)
+        for bad in ({"position": 4}, {"order": "shuffled"}, {"top_k": 0}):
+            with pytest.raises(ParameterError):
+                surface_position_frequency([["a"]], vocab, **{"position": 1, **bad})

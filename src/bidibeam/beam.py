@@ -7,10 +7,10 @@ candidates have been collected or the length limit T is reached.  All ties
 are broken by lexicographic token-id order so decoding is fully
 deterministic.
 
-A step scores the n alive hypotheses' n x V candidates as one numpy array
-and builds Hypothesis objects only for its top B + n, selected with
-np.partition and ordered with np.lexsort on (-score, parent's lexicographic
-rank, token id).
+A step scores the n alive hypotheses' n x V candidates as one numpy array,
+ranks only its top B + n, selected with np.partition and ordered with
+np.lexsort on (-score, parent's lexicographic rank, token id), and builds
+Hypothesis objects only for the children that survive the step.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ def vbs_decode(
     is kept, so ties at the cut survive, and np.lexsort orders them by
     (-score, parent's lexicographic rank, token id).  All alive prefixes have
     the same length, so this is the lexicographic token order of the
-    children.  Only the first k become Hypothesis objects; ``sort_events``
-    still records the n * V pool.
+    children.  Only the kept children of the first k become Hypothesis
+    objects; ``sort_events`` still records the n * V pool.
 
     ``searches``, when given, is a memo shared by the decodes of one run.
     It maps (model, source, params) to the search's ``DecodeOutput``: a
@@ -160,33 +160,34 @@ def _search(
         # Row i belongs to the parent of lexicographic rank i, so a flat
         # candidate index i * V + token is its lexicographic rank too.
         parents = sorted(alive, key=lambda h: h.tokens)
-        rows = np.stack([model.next_token_logprobs(source, h.tokens) for h in parents])
+        rows = np.array([model.next_token_logprobs(source, h.tokens) for h in parents],
+                        dtype=np.float64)
         n = len(parents)
         if rows.shape != (n, v):
             raise ParameterError(f"next-token log-probabilities must have length V = {v}")
-        # NaN and +inf fail this comparison; -inf (an impossible token) passes.
-        if not (rows < np.inf).all():
+        # The max is NaN or +inf if any entry is, and either fails this
+        # comparison; -inf (an impossible token) passes.
+        if not rows.max() < np.inf:
             raise ParameterError("next-token log-probabilities must not be NaN or +inf")
         report.expansions += n * v
         report.sort_events.append((step, n * v))
-        logprobs = (np.array([h.logprob for h in parents])[:, None] + rows).ravel()
-        negated = -(logprobs / length_penalty(step, alpha))
+        # rows is a fresh float64 array, and x / -lp is -(x / lp) bit for bit.
+        rows += np.array([h.logprob for h in parents])[:, None]
+        logprobs = rows.ravel()
+        negated = logprobs / -length_penalty(step, alpha)
         k = min(b + n, n * v)
         cut = np.partition(negated, k - 1)[k - 1]
         pool = np.flatnonzero(negated <= cut)
         top = pool[np.lexsort((pool, negated[pool]))][:k]
 
         alive = []
-        for position, index in enumerate(top.tolist()):
+        for position, (index, logprob) in enumerate(zip(top.tolist(), logprobs[top].tolist())):
             parent, token = divmod(index, v)
-            child = Hypothesis(
-                parents[parent].tokens + (token,), float(logprobs[index]), token == EOS_ID
-            )
-            if not child.finished:
+            if token != EOS_ID:
                 if len(alive) < b:
-                    alive.append(child)
+                    alive.append(Hypothesis(parents[parent].tokens + (token,), logprob, False))
             elif position < b and len(finished) < b:
-                finished.append(child)
+                finished.append(Hypothesis(parents[parent].tokens + (token,), logprob, True))
 
     beam_set = list(finished)
     if len(beam_set) < b:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidibeam import lm
-from bidibeam.corpus import EOS_ID, SentencePair, build_vocabulary, encode_pairs
+from bidibeam.corpus import BOS_ID, EOS_ID, SEP_ID, SentencePair, build_vocabulary, encode_pairs
 from bidibeam.errors import (
     DirectionError,
     FormatError,
@@ -165,6 +166,17 @@ class TestNextTokenLogprobs:
         with pytest.raises(VocabularyMismatchError):
             model.next_token_logprobs((vocab.size,), ())
 
+    @pytest.mark.parametrize("source, prefix, message", [
+        ((-1,), (), "source id -1 outside vocabulary of size 6"),
+        ((4, 5), (5, -1), "prefix id -1 outside vocabulary of size 6"),
+        ((4,), (6, 5), "prefix id 6 outside vocabulary of size 6"),
+    ])
+    def test_id_error_names_the_bad_id(self, source, prefix, message):
+        model, vocab = make_model([(["q"], ["a"])])
+        assert vocab.size == 6
+        with pytest.raises(VocabularyMismatchError, match=f"^{re.escape(message)}$"):
+            model.next_token_logprobs(source, prefix)
+
 
 def trained_pair():
     """Order-4 regular and reverse models trained on a small synthetic corpus."""
@@ -228,10 +240,106 @@ class TestRowMemo:
         (model, _), encoded = trained_pair()
         monkeypatch.setattr(lm, "ROW_MEMO_FLOATS", 3 * model.vocab.size)
         contexts = queries(encoded)
-        rows = [model.next_token_logprobs(s, p).tobytes() for s, p in contexts]
+        rows, clears = [], 0
+        for s, p in contexts:
+            before = len(model._rows)
+            rows.append(model.next_token_logprobs(s, p).tobytes())
+            clears += len(model._rows) < before
+            # The state memo is cleared with the window memo, so it holds no
+            # row that the window memo dropped, and the arrays both hold
+            # stay within the cap.
+            windows = {id(row) for row in model._rows.values()}
+            assert {id(row) for row in model._states.values()} <= windows
+            assert len(windows) * model.vocab.size <= lm.ROW_MEMO_FLOATS
+        assert clears > 0
         assert len(model._rows) <= 3
         (fresh, _), _ = trained_pair()
         assert rows == [fresh.next_token_logprobs(s, p).tobytes() for s, p in contexts]
+
+
+def seen_state(counts, order, source, prefix):
+    """The deepest order whose context is seen in the count tables, and
+    that context: the state that fixes a row."""
+    stream = (BOS_ID, *source, SEP_ID, *prefix)
+    depth, context = 1, ()
+    for o in range(2, order + 1):
+        ctx = stream[max(0, len(stream) - (o - 1)):]
+        if ctx not in counts[o]:
+            break
+        depth, context = o, ctx
+    return depth, context
+
+
+def row_builds(monkeypatch):
+    """The list that each row build of any model appends its walk to."""
+    builds = []
+    build = ConditionalNGramLM._row
+    monkeypatch.setattr(ConditionalNGramLM, "_row",
+                        lambda self, found: builds.append(found) or build(self, found))
+    return builds
+
+
+class TestRowStates:
+    """Rows built through the state memo, by every path, equal the oracle's."""
+
+    def probes(self, model, encoded):
+        """The corpus contexts, then random prefixes over every id but EOS:
+        UNK and the source-only ids are never seen before a target word."""
+        rng = np.random.default_rng(7)
+        ids = [i for i in range(model.vocab.size) if i != EOS_ID]
+        random_prefixes = [
+            (encoded[int(rng.integers(len(encoded)))].source,
+             tuple(int(i) for i in rng.choice(ids, size=int(rng.integers(0, 5)))))
+            for _ in range(300)]
+        return queries(encoded) + random_prefixes
+
+    @pytest.mark.parametrize("build", ["trained", "reloaded", "reversed buckets"])
+    def test_every_state_and_add_path_matches_the_oracle(self, build, tmp_path, monkeypatch):
+        (model, _), encoded = trained_pair()
+        counts = count_tables(model)
+        if build == "reloaded":
+            model.save(tmp_path / "lm.json")
+            model = ConditionalNGramLM.load(tmp_path / "lm.json", model.vocab)
+        elif build == "reversed buckets":
+            model = ConditionalNGramLM.from_counts(
+                model.vocab, model.order, model.direction, model.weights, model.k,
+                {o: {ctx: dict(reversed(bucket.items())) for ctx, bucket in table.items()}
+                 for o, table in counts.items()})
+        builds = row_builds(monkeypatch)
+        depths, sizes, rows = set(), set(), {}
+        for source, prefix in self.probes(model, encoded):
+            depth, context = seen_state(counts, model.order, source, prefix)
+            depths.add(depth)
+            for o in range(2, depth + 1):
+                bucket = counts[o][context[max(0, len(context) - (o - 1)):]]
+                sizes.add((o, len(bucket) <= lm.SCALAR_ADDS))
+            row = model.next_token_logprobs(source, prefix)
+            assert row.tobytes() == oracle_ngram_logprobs(
+                counts, model.order, model.weights, model.k, model.vocab.size,
+                source, prefix).tobytes()
+            # Windows that reach one state share one array.
+            assert rows.setdefault((depth, context), row) is row
+        assert depths == {1, 2, 3, 4}  # unseen at every order 2..4, and seen at all
+        assert sizes == {(o, small) for o in (2, 3, 4) for small in (True, False)}
+        assert len(builds) == len(rows) < len(model._rows)
+
+    def test_two_windows_of_one_state_build_one_row(self, monkeypatch):
+        (model, _), _ = trained_pair()
+        counts = count_tables(model)
+        # Two windows whose order-4 contexts are unseen but whose last two
+        # tokens are a seen order-3 context.
+        x, y = next(ctx for ctx in counts[3] if len(ctx) == 2 and min(ctx) >= 4)
+        a, b = [w for w in range(4, model.vocab.size) if (w, x, y) not in counts[4]][:2]
+        assert seen_state(counts, 4, (4,), (a, x, y)) == seen_state(counts, 4, (5,), (b, x, y))
+        builds = row_builds(monkeypatch)
+        first = model.next_token_logprobs((4,), (a, x, y))
+        second = model.next_token_logprobs((5,), (b, x, y))
+        assert len(builds) == 1 and len(model._rows) == 2
+        assert first is second
+        for source, prefix, row in (((4,), (a, x, y), first), ((5,), (b, x, y), second)):
+            assert row.tobytes() == oracle_ngram_logprobs(
+                counts, model.order, model.weights, model.k, model.vocab.size,
+                source, prefix).tobytes()
 
 
 @st.composite

@@ -27,6 +27,7 @@ from .lm import LanguageModel
 
 if TYPE_CHECKING:
     from .bidi import AgreementPair
+    from .evaluation import BleuMemo
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,22 @@ class DecodeOutput:
     agreement: Optional["AgreementPair"] = None
 
 
+@dataclass
+class Memo:
+    """What the decodes and scorings of one command share.
+
+    ``searches`` maps (model, source, params) to a search's ``DecodeOutput``;
+    ``vbs_decode`` returns a search made before as the stored object.  The
+    model in the key hashes by identity, which also fixes the direction.
+    ``bleu`` is the ``evaluation`` BLEU memo.  Every entry is a pure function
+    of its key, so a decode or score equals a memo-free one.  Each command
+    builds one memo, which lives as long as the command and has no size cap.
+    """
+
+    searches: dict[tuple, DecodeOutput] = field(default_factory=dict)
+    bleu: BleuMemo = field(default_factory=dict)
+
+
 def length_penalty(length: int, alpha: float) -> float:
     """GNMT length normalizer ((5 + length) / 6) ** alpha."""
     if length < 1:
@@ -106,7 +123,7 @@ def vbs_decode(
     model: LanguageModel,
     source: Sequence[int],
     params: SearchParams,
-    searches: dict | None = None,
+    memo: Memo | None = None,
 ) -> DecodeOutput:
     """Vanilla beam search over the model's next-token distributions.
 
@@ -125,20 +142,15 @@ def vbs_decode(
     (-score, parent's lexicographic rank, token id).  All alive prefixes have
     the same length, so this is the lexicographic token order of the
     children.  Only the kept children of the first k become Hypothesis
-    objects; ``sort_events`` still records the n * V pool.
-
-    ``searches``, when given, is a memo shared by the decodes of one run.
-    It maps (model, source, params) to the search's ``DecodeOutput``: a
-    search made before is returned as the stored object, not repeated.
-    Searches are pure, and the model in the key hashes by identity, which
-    also fixes the direction.
+    objects; ``sort_events`` still records the n * V pool.  A search
+    already in ``memo.searches`` is not repeated.
     """
-    if searches is None:
+    if memo is None:
         return _search(model, source, params)
     key = (model, tuple(source), params)
-    output = searches.get(key)
+    output = memo.searches.get(key)
     if output is None:
-        output = searches[key] = _search(model, source, params)
+        output = memo.searches[key] = _search(model, source, params)
     return output
 
 

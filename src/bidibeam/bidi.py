@@ -16,6 +16,7 @@ from typing import Sequence
 from .beam import (
     DecodeOutput,
     Hypothesis,
+    Memo,
     SearchParams,
     length_penalty,
     vbs_decode,
@@ -107,16 +108,15 @@ def bidis_decode(
     reverse: LanguageModel,
     source: Sequence[int],
     params: BidiSParams,
-    searches: dict | None = None,
+    memo: Memo | None = None,
 ) -> DecodeOutput:
     """Decode with the regular model, then re-rank by both directions.
 
     ``selected_index`` reports the winning candidate's original rank in the
-    regular beam, which is what rank analysis histograms.  ``searches`` is
-    the search memo of ``vbs_decode``.
+    regular beam, which is what rank analysis histograms.
     """
     _check_directions(regular, reverse)
-    base = vbs_decode(regular, source, params.search, searches)
+    base = vbs_decode(regular, source, params.search, memo)
     terms = rescore_terms(base.beam, reverse, source, params.search.alpha)
     order = rank_by_combined_score(base.beam, terms, params.reverse_weight)
     report = ComplexityReport(algorithm="bidis")
@@ -138,7 +138,7 @@ def select_lambda(
     validation: Sequence[SentencePair],
     search: SearchParams,
     grid: Sequence[float],
-    searches: dict | None = None,
+    memo: Memo | None = None,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Pick the reverse-score weight maximizing validation BLEU-4.
 
@@ -146,9 +146,9 @@ def select_lambda(
     (weight, corpus BLEU-4) pair per grid value, in ascending weight order.
     Ties prefer the smallest weight; an empty validation split falls back
     to the smallest grid value with an empty curve.  Every weight's
-    selections are scored by ``corpus_bleu4`` over one BLEU memo, so a pair
-    some weights share is counted once.  ``searches`` is the search memo of
-    ``vbs_decode``.
+    selections are scored by ``corpus_bleu4`` over one BLEU memo,
+    ``memo.bleu`` or a fresh one, so a pair some weights share is counted
+    once.
     """
     if not grid:
         raise ParameterError("the reverse-weight grid must not be empty")
@@ -159,17 +159,17 @@ def select_lambda(
         return grid[0], []
     bases = []
     for pair in validation:
-        base = vbs_decode(regular, pair.source, search, searches)
+        base = vbs_decode(regular, pair.source, search, memo)
         terms = rescore_terms(base.beam, reverse, pair.source, search.alpha)
         bases.append((pair, base, terms))
-    bleu_memo: dict = {}
+    bleu = {} if memo is None else memo.bleu
     curve = []
     for lam in grid:
         selections = [
             (base.beam[rank_by_combined_score(base.beam, terms, lam)[0][0]].core(), pair.target)
             for pair, base, terms in bases
         ]
-        curve.append((lam, corpus_bleu4(selections, bleu_memo)))
+        curve.append((lam, corpus_bleu4(selections, bleu)))
     best_lambda, _ = max(curve, key=lambda point: point[1])
     return best_lambda, curve
 
@@ -220,7 +220,7 @@ def bidia_decode(
     source: Sequence[int],
     params: SearchParams,
     measure: SimilaritySpec,
-    searches: dict | None = None,
+    memo: Memo | None = None,
 ) -> DecodeOutput:
     """Agreement decoding over two half-size beams.
 
@@ -228,14 +228,14 @@ def bidia_decode(
     reverse-side hypotheses and outputs the regular-side member of the
     cross-beam pair of least dissimilarity.  Ties prefer the higher regular
     normalized score, then the lower regular index, then the lower reverse
-    index.  ``searches`` is the search memo of ``vbs_decode``.
+    index.
     """
     _check_directions(regular, reverse)
     if params.beam_size % 2 != 0 or params.beam_size < 2:
         raise ParameterError("agreement decoding needs an even beam size >= 2")
     half = SearchParams(params.beam_size // 2, params.max_length, params.alpha)
-    run_regular = vbs_decode(regular, source, half, searches)
-    run_reverse = vbs_decode(reverse, source, half, searches)
+    run_regular = vbs_decode(regular, source, half, memo)
+    run_reverse = vbs_decode(reverse, source, half, memo)
     unreversed = tuple(unreverse_hypothesis(h) for h in run_reverse.beam)
 
     i0, j0, d0, exact_evals = agreement_argmin(

@@ -21,7 +21,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
-from .beam import DecodeOutput, Hypothesis, SearchParams, vbs_decode
+from .beam import DecodeOutput, Hypothesis, Memo, SearchParams, vbs_decode
 from .bidi import BidiSParams, bidia_decode, bidis_decode, select_lambda
 from .corpus import (
     EOS_ID,
@@ -36,7 +36,7 @@ from .corpus import (
 )
 from .errors import BidibeamError, ConfigError
 from .evaluation import best_hypothesis, corpus_bleu4, distinct_n, rank_histogram, surface_position_frequency
-from .lm import ConditionalNGramLM, REGULAR, REVERSE
+from .lm import DEFAULT_K, DEFAULT_ORDER, DEFAULT_WEIGHTS, REGULAR, REVERSE, ConditionalNGramLM
 from .similarity import (
     BLEU_T,
     BP_DIVIDE,
@@ -138,12 +138,15 @@ class RunConfig:
                  "three fractions that sum to 1"),
     )
     seed: int = _option(0, "shuffle seed", _number(int))
-    order: int = _option(3, "model n-gram order", _number(int, 1))
+    order: int = _option(DEFAULT_ORDER, "model n-gram order", _number(int, 1))
     weights: tuple[float, ...] = _option(
-        (0.2, 0.3, 0.5), "interpolation weights, low to high order", _list(_number(float))
+        DEFAULT_WEIGHTS,
+        "interpolation weights, low to high order",
+        _checked(_list(_number(float, 0)), lambda weights: abs(sum(weights) - 1.0) <= 1e-9,
+                 "non-negative weights that sum to 1"),
     )
     k: float = _option(
-        0.1, "additive smoothing constant", _checked(_number(float), lambda k: k > 0, "a number > 0")
+        DEFAULT_K, "additive smoothing constant", _checked(_number(float), lambda k: k > 0, "a number > 0")
     )
     min_count: int = _option(1, "vocabulary cutoff", _number(int, 1))
     beam_size: int = _option(10, "beam size", _number(int, 1), key="B")
@@ -378,9 +381,11 @@ def _write_beams_jsonl(
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _evaluate(pairs: Sequence[SentencePair], outputs: Sequence[DecodeOutput]) -> tuple[float, float, float]:
+def _evaluate(
+    pairs: Sequence[SentencePair], outputs: Sequence[DecodeOutput], memo: Memo
+) -> tuple[float, float, float]:
     candidates = [output.selected.core() for output in outputs]
-    bleu = corpus_bleu4([(c, p.target) for c, p in zip(candidates, pairs)])
+    bleu = corpus_bleu4([(c, p.target) for c, p in zip(candidates, pairs)], memo.bleu)
     return bleu, distinct_n(candidates, 1), distinct_n(candidates, 2)
 
 
@@ -417,7 +422,7 @@ def _decode_cell(
     models: tuple[Vocabulary, ConditionalNGramLM, ConditionalNGramLM],
     encoded: tuple[Sequence[SentencePair], Sequence[SentencePair]],
     measures: dict[str, SimilaritySpec],
-    searches: dict,
+    memo: Memo,
     decodes_name: str,
     save_beams: bool,
 ) -> tuple[tuple[float, list], tuple[float, float, float]]:
@@ -426,26 +431,23 @@ def _decode_cell(
     bidis first picks its reverse weight on the validation split.
     ``encoded`` holds the encoded validation and test splits, ``measures``
     the command's measure of each agreement algorithm.  The cell writes
-    ``decodes_name`` and, with ``save_beams``, its beams file; ``searches``
-    is the command's search memo.  Returns the weight and its validation
-    curve (0.0 and an empty curve unless bidis) and the cell's BLEU-4,
-    distinct-1 and distinct-2.
+    ``decodes_name`` and, with ``save_beams``, its beams file.  Returns the
+    weight and its validation curve (0.0 and an empty curve unless bidis)
+    and the cell's BLEU-4, distinct-1 and distinct-2.
     """
     vocab, regular, reverse = models
     validation, test_pairs = encoded
     search = SearchParams(beam_size, cfg.max_length, cfg.alpha)
     lam, curve = 0.0, []
     if algorithm == "vbs":
-        decode = lambda pair: vbs_decode(regular, pair.source, search, searches)
+        decode = lambda pair: vbs_decode(regular, pair.source, search, memo)
     elif algorithm == "bidis":
-        lam, curve = select_lambda(regular, reverse, validation, search, cfg.lambda_grid, searches)
+        lam, curve = select_lambda(regular, reverse, validation, search, cfg.lambda_grid, memo)
         params = BidiSParams(search, lam)
-        decode = lambda pair: bidis_decode(regular, reverse, pair.source, params, searches)
+        decode = lambda pair: bidis_decode(regular, reverse, pair.source, params, memo)
     else:
         measure = measures[algorithm]
-        decode = lambda pair: bidia_decode(
-            regular, reverse, pair.source, search, measure, searches
-        )
+        decode = lambda pair: bidia_decode(regular, reverse, pair.source, search, measure, memo)
     outputs = [decode(pair) for pair in test_pairs]
     out = Path(cfg.out)
     _write_decodes_csv(out / decodes_name, test_pairs, outputs, vocab)
@@ -453,13 +455,13 @@ def _decode_cell(
         _write_beams_jsonl(
             out / f"beams_{algorithm}_nb{beam_size}.jsonl", test_pairs, outputs, algorithm, beam_size
         )
-    return (lam, curve), _evaluate(test_pairs, outputs)
+    return (lam, curve), _evaluate(test_pairs, outputs, memo)
 
 
 def cmd_decode(cfg: RunConfig) -> int:
     models, encoded, measures = _load_grid(cfg, (cfg.algorithm,), (cfg.beam_size,))
     (lam, curve), (bleu, d1, d2) = _decode_cell(
-        cfg, cfg.algorithm, cfg.beam_size, models, encoded, measures, {},
+        cfg, cfg.algorithm, cfg.beam_size, models, encoded, measures, Memo(),
         f"decodes_{cfg.algorithm}.csv", cfg.save_beams,
     )
     extra = {"lambda_selected": lam, "lambda_curve": curve} if cfg.algorithm == "bidis" else None
@@ -476,18 +478,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     selected_lambdas: dict[str, float] = {}
     lambda_curves: dict[str, list] = {}
-    # One search memo for the whole sweep: bidis re-ranks the vbs beam,
-    # both bidia measures share their half-beam searches, bidia's regular
-    # half is vbs at half the beam size, and a repeated source (validation
-    # or test) is searched once per beam size.
-    searches: dict = {}
+    memo = Memo()
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SWEEP_HEADER)
         for nb in cfg.nb_list:
             for algorithm in cfg.algorithms:
                 (lam, curve), (bleu, d1, d2) = _decode_cell(
-                    cfg, algorithm, nb, models, encoded, measures, searches,
+                    cfg, algorithm, nb, models, encoded, measures, memo,
                     f"decodes_{algorithm}_nb{nb}.csv", True,
                 )
                 if algorithm == "bidis":
@@ -603,7 +601,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
     # One BLEU memo for every cell: cells share beams and references, and a
     # selected member is one its beam's oracle search has already counted.
-    bleu_memo: dict = {}
+    memo = Memo()
     with open(out / "oracle_bleu.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(ORACLE_HEADER)
@@ -615,15 +613,15 @@ def cmd_analyze(cfg: RunConfig) -> int:
                 selected = beam[0]
                 if record.algorithm.startswith("bidia"):
                     selected = beam[record.selected_index - 1]
-                best, _ = best_hypothesis(beam, reference, bleu_memo)
+                best, _ = best_hypothesis(beam, reference, memo.bleu)
                 algo_pairs.append((selected.core(), reference))
                 oracle_pairs.append((best.core(), reference))
             writer.writerow(
                 (
                     algorithm,
                     nb,
-                    f"{corpus_bleu4(algo_pairs, bleu_memo):.6f}",
-                    f"{corpus_bleu4(oracle_pairs, bleu_memo):.6f}",
+                    f"{corpus_bleu4(algo_pairs, memo.bleu):.6f}",
+                    f"{corpus_bleu4(oracle_pairs, memo.bleu):.6f}",
                 )
             )
 

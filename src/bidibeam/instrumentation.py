@@ -45,48 +45,36 @@ def check_bounds(report: ComplexityReport, b: int, v: int, t: int) -> BoundsResu
     sort handles <= (B/2)*V candidates, exactly (B/2)^2 cross-beam pairs are
     considered and between 1 and (B/2)^2 of them are evaluated exactly.
     """
+    if report.algorithm not in ("vbs", "bidis", "bidia"):
+        return BoundsResult(False, [f"unknown algorithm {report.algorithm!r}"])
     failures: list[str] = []
 
     def require(ok: bool, message: str) -> None:
         if not ok:
             failures.append(message)
 
-    if report.algorithm in ("vbs", "bidis"):
+    # bidia makes two searches of width B/2, vbs and bidis one of width B.
+    bidia = report.algorithm == "bidia"
+    searches, width, times, name = (2, b // 2, "2*", "(B/2)") if bidia else (1, b, "", "B")
+    bound = searches * t * width * v
+    require(report.expansions <= bound, f"expansions {report.expansions} > {times}T*{name}*V = {bound}")
+    for step, size in report.sort_events:
         require(
-            report.expansions <= t * b * v,
-            f"expansions {report.expansions} > T*B*V = {t * b * v}",
+            size <= width * v,
+            f"sort at step {step} handled {size} > {name}*V = {width * v} candidates",
         )
-        for step, size in report.sort_events:
-            require(
-                size <= b * v,
-                f"sort at step {step} handled {size} > B*V = {b * v} candidates",
-            )
-        if report.algorithm == "bidis":
-            require(
-                report.rescoring_evals == b,
-                f"rescoring_evals {report.rescoring_evals} != B = {b}",
-            )
-    elif report.algorithm == "bidia":
-        half = b // 2
+    if report.algorithm == "bidis":
+        require(report.rescoring_evals == b, f"rescoring_evals {report.rescoring_evals} != B = {b}")
+    if bidia:
+        pairs = width * width
         require(
-            report.expansions <= 2 * t * half * v,
-            f"expansions {report.expansions} > 2*T*(B/2)*V = {2 * t * half * v}",
-        )
-        for step, size in report.sort_events:
-            require(
-                size <= half * v,
-                f"sort at step {step} handled {size} > (B/2)*V = {half * v} candidates",
-            )
-        require(
-            report.pairwise_sim_evals == half * half,
-            f"pairwise_sim_evals {report.pairwise_sim_evals} != (B/2)^2 = {half * half}",
+            report.pairwise_sim_evals == pairs,
+            f"pairwise_sim_evals {report.pairwise_sim_evals} != (B/2)^2 = {pairs}",
         )
         require(
-            1 <= report.exact_sim_evals <= half * half,
-            f"exact_sim_evals {report.exact_sim_evals} outside [1, (B/2)^2 = {half * half}]",
+            1 <= report.exact_sim_evals <= pairs,
+            f"exact_sim_evals {report.exact_sim_evals} outside [1, (B/2)^2 = {pairs}]",
         )
-    else:
-        failures.append(f"unknown algorithm {report.algorithm!r}")
     return BoundsResult(not failures, failures)
 
 

@@ -242,6 +242,7 @@ BAD_VALUES = [
     ("lambda_grid", ","), ("nb_list", "2,0"), ("format", "csv"), ("algorithm", "beam"),
     ("algorithms", "vbs,beam"), ("bp_mode", "add"), ("save_beams", "maybe"),
     ("k", "0"), ("split", "0.5,0.1,0.1"), ("order", "2"),
+    ("weights", "0.5,0.3,0.1"), ("weights", "-0.2,0.7,0.5"),
 ]
 
 
@@ -721,6 +722,29 @@ def test_sweep_equals_the_oracles(size, corpus_seed, split_seed, beam_sizes, gri
 
 class TestSearchMemo:
     """One sweep shares its searches across cells; no cell's output changes."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("decode", ["--algorithm", "bidis"]),
+        ("sweep", ["--algorithms", "vbs,bidis,bidia-bleu", "--nb-list", "2,4"]),
+        ("analyze", []),
+    ])
+    def test_each_command_builds_one_memo(self, workspace, trained, monkeypatch, command, extra):
+        """Every decode and BLEU scoring of a command goes through one Memo."""
+        flags = ["--corpus", str(workspace.corpus), *BASE_FLAGS, "--out", str(trained)]
+        if command == "analyze":
+            assert main(["decode", *flags, "--algorithm", "bidis", "--save-beams"]) == 0
+        built = []
+        memo_type = cli.Memo
+
+        def counting_memo():
+            built.append(memo_type())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "Memo", counting_memo)
+        assert main([command, *flags, *extra]) == 0
+        assert len(built) == 1
+        assert built[0].bleu
+        assert bool(built[0].searches) == (command != "analyze")
 
     def test_sweep_runs_each_distinct_search_once(self, workspace, tmp_path, monkeypatch):
         out = tmp_path / "run"

@@ -1,10 +1,11 @@
-"""The search memo: decodes that share one give the outputs of memo-free ones."""
+"""The command memo: decodes and scorings that share one give the outputs
+of memo-free ones."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidibeam.beam import SearchParams, vbs_decode
+from bidibeam.beam import Memo, SearchParams, vbs_decode
 from bidibeam.bidi import BidiSParams, bidia_decode, bidis_decode, select_lambda
 from bidibeam.corpus import SentencePair
 from bidibeam.errors import ParameterError
@@ -51,7 +52,7 @@ def test_shared_memo_matches_memo_free_decodes(data):
                   st.sampled_from([0.0, 0.5, 1.0])),
         min_size=1, max_size=12))
 
-    searches: dict = {}
+    memo = Memo()
     expected_keys = set()
     for algorithm, b, source, measure, weight in calls:
         if algorithm == "bidia":
@@ -67,16 +68,17 @@ def test_shared_memo_matches_memo_free_decodes(data):
             run = lambda memo: bidia_decode(regular, reverse, source, params, measure, memo)
             halves = SearchParams(half, t, alpha)
             expected_keys.update({(regular, source, halves), (reverse, source, halves)})
-        assert_same_output(run(searches), run(None))
-    assert set(searches) == expected_keys
+        assert_same_output(run(memo), run(None))
+    assert set(memo.searches) == expected_keys
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(1, 5), st.data())
 def test_select_lambda_matches_per_weight_bleu(seed, b, t, data):
     """select_lambda picks the weight, and records the curve, that scoring
-    every weight's selections from scratch gives, with or without a search
-    memo."""
+    every weight's selections from scratch gives, with or without a memo.
+    A memo ends up holding the validation searches, and BLEU entries for
+    exactly the validation references."""
     vocab = dummy_vocab(7)
     regular = RandomTableLM(vocab, seed, direction=REGULAR)
     reverse = RandomTableLM(vocab, seed + 1, direction=REVERSE)
@@ -93,10 +95,34 @@ def test_select_lambda_matches_per_weight_bleu(seed, b, t, data):
                               min_size=1, max_size=6, unique=True))
     expected = (oracle_select_lambda(regular, reverse, validation, search, grid),
                 oracle_lambda_curve(regular, reverse, validation, search, grid))
-    searches: dict = {}
+    memo = Memo()
     assert select_lambda(regular, reverse, validation, search, grid) == expected
-    assert select_lambda(regular, reverse, validation, search, grid, searches) == expected
-    assert set(searches) == {(regular, pair.source, search) for pair in validation}
+    assert select_lambda(regular, reverse, validation, search, grid, memo) == expected
+    assert set(memo.searches) == {(regular, pair.source, search) for pair in validation}
+    assert set(memo.bleu) == {pair.target for pair in validation}
+
+
+class UnhashableLM(RandomTableLM):
+    """A model that cannot key a search memo, as a ``@dataclass`` model is."""
+
+    __hash__ = None
+
+
+def test_memo_free_calls_decode_an_unhashable_model():
+    """Without a memo nothing is hashed, so any model decodes."""
+    vocab = dummy_vocab(6)
+    search = SearchParams(3, 4)
+    validation = [SentencePair(source, (4, 5)) for source in SOURCES]
+    models = [(cls(vocab, 1, direction=REGULAR), cls(vocab, 2, direction=REVERSE))
+              for cls in (UnhashableLM, RandomTableLM)]
+    (regular, reverse), (hashable_regular, hashable_reverse) = models
+    with pytest.raises(TypeError):
+        hash(regular)
+    for source in SOURCES:
+        assert_same_output(vbs_decode(regular, source, search),
+                           vbs_decode(hashable_regular, source, search))
+    assert (select_lambda(regular, reverse, validation, search, [0.0, 1.0])
+            == select_lambda(hashable_regular, hashable_reverse, validation, search, [0.0, 1.0]))
 
 
 def test_select_lambda_empty_validation_takes_smallest_weight():

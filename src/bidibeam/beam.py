@@ -28,6 +28,7 @@ from .lm import LanguageModel
 if TYPE_CHECKING:
     from .bidi import AgreementPair
     from .evaluation import BleuMemo
+    from .similarity import SimilaritySpec
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,23 @@ class Memo:
     ``searches`` maps (model, source, params) to a search's ``DecodeOutput``;
     ``vbs_decode`` returns a search made before as the stored object.  The
     model in the key hashes by identity, which also fixes the direction.
-    ``bleu`` is the ``evaluation`` BLEU memo.  Every entry is a pure function
-    of its key, so a decode or score equals a memo-free one.  Each command
-    builds one memo, which lives as long as the command and has no size cap.
+    ``bleu`` is the ``evaluation`` BLEU memo.  ``transport`` maps a WMD
+    measure's ``id`` to that measure and its pairs: each (regular core,
+    reverse core) maps to ``[problem, wmd]``, the pair's ``TransportProblem``
+    (None for a degenerate pair) and, once solved, its raw WMD (None
+    before).  Holding the measure keeps its ``id`` from being reused while
+    the memo lives.  The relaxed bound and the exact solve of a pair share
+    the one problem, and each pair is solved once per memo; ``bp_t`` is
+    applied on every call, since it depends on the call's measure and
+    candidate length.  A memo-free call builds and solves every pair afresh.
+    Every entry is a pure function of its key, so a decode or score equals a
+    memo-free one.  Each command builds one memo, which lives as long as the
+    command and has no size cap.
     """
 
     searches: dict[tuple, DecodeOutput] = field(default_factory=dict)
     bleu: BleuMemo = field(default_factory=dict)
+    transport: dict[int, tuple[SimilaritySpec, dict[tuple, list]]] = field(default_factory=dict)
 
 
 def length_penalty(length: int, alpha: float) -> float:

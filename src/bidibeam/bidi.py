@@ -186,6 +186,7 @@ def agreement_argmin(
     reverse_cores: Sequence[Sequence[int]],
     regular_scores: Sequence[float],
     measure: SimilaritySpec,
+    memo: Memo | None = None,
 ) -> tuple[int, int, float, int]:
     """The cross pair (i, j) minimizing (d, -regular_scores[i], i, j), its
     dissimilarity d, and how many exact dissimilarities were computed.
@@ -194,10 +195,12 @@ def agreement_argmin(
     (bound, -score, i, j).  Once a bound exceeds the best exact value by more
     than the rounding margin, so does every later one, and none of those
     pairs can win or tie, so the scan stops there.  The selection key is a
-    total order, so the result equals that of scanning every pair.
+    total order, so the result equals that of scanning every pair.  ``memo``
+    goes to both the bound and the exact dissimilarity, so they share each
+    WMD pair's transport problem, and the command solves each pair once.
     """
     candidates = sorted(
-        (dissimilarity_lower_bound(y_n, y_r, measure), -regular_scores[i], i, j)
+        (dissimilarity_lower_bound(y_n, y_r, measure, memo), -regular_scores[i], i, j)
         for i, y_n in enumerate(regular_cores)
         for j, y_r in enumerate(reverse_cores)
     )
@@ -206,7 +209,7 @@ def agreement_argmin(
     for bound, neg_score, i, j in candidates:
         if best_key is not None and bound > best_key[0] * (1 + _PRUNE_RTOL) + _PRUNE_ATOL:
             break
-        key = (dissimilarity(regular_cores[i], reverse_cores[j], measure), neg_score, i, j)
+        key = (dissimilarity(regular_cores[i], reverse_cores[j], measure, memo), neg_score, i, j)
         exact_evals += 1
         if best_key is None or key < best_key:
             best_key = key
@@ -243,6 +246,7 @@ def bidia_decode(
         [h.core() for h in unreversed],
         run_regular.scores,
         measure,
+        memo,
     )
 
     report = ComplexityReport(algorithm="bidia")

@@ -112,6 +112,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+# The memory budget of one beam step, in float64s: a step scores its B alive
+# hypotheses times the V tokens of the vocabulary.  2 ** 24 floats are
+# 128 MiB per array.  --B and every --nb-list entry are checked against it
+# once V is loaded, before any search allocates.
+STEP_FLOATS = 2 ** 24
+
+
 def _option(default, help: str, parse=str, choices: tuple = (), key: str | None = None):
     """A RunConfig field declaring one option; ``key`` only where it is not the name."""
     return field(
@@ -149,7 +156,9 @@ class RunConfig:
         DEFAULT_K, "additive smoothing constant", _checked(_number(float), lambda k: k > 0, "a number > 0")
     )
     min_count: int = _option(1, "vocabulary cutoff", _number(int, 1))
-    beam_size: int = _option(10, "beam size", _number(int, 1), key="B")
+    beam_size: int = _option(
+        10, f"beam size; B x vocabulary size at most {STEP_FLOATS}", _number(int, 1), key="B"
+    )
     max_length: int = _option(20, "maximum decode length", _number(int, 1), key="T")
     alpha: float = _option(0.6, "length penalty exponent", _number(float, 0, 1))
     algorithm: str = _option("vbs", "decoding algorithm", choices=ALGORITHMS)
@@ -161,7 +170,10 @@ class RunConfig:
     bp_mode: str = _option(
         BP_DIVIDE, "how WMD combines with the brevity penalty", choices=(BP_DIVIDE, BP_MULTIPLY)
     )
-    nb_list: tuple[int, ...] = _option((2, 4, 8), "beam sizes to sweep", _list(_number(int, 1)))
+    nb_list: tuple[int, ...] = _option(
+        (2, 4, 8), f"beam sizes to sweep; each x vocabulary size at most {STEP_FLOATS}",
+        _list(_number(int, 1)),
+    )
     algorithms: tuple[str, ...] = _option(ALGORITHMS, "algorithms to sweep", _list(str), ALGORITHMS)
     save_beams: bool = _option(False, "persist full beams for later analysis", _parse_bool)
     out: str | None = _option(None, "output directory")
@@ -302,12 +314,15 @@ def _build_measure(cfg: RunConfig, vocab: Vocabulary, kind: str) -> SimilaritySp
     )
 
 
-def _load_grid(cfg: RunConfig, algorithms: Sequence[str], beam_sizes: Sequence[int]) -> tuple:
+def _load_grid(
+    cfg: RunConfig, algorithms: Sequence[str], beam_sizes: Sequence[int], sizes_option: str
+) -> tuple:
     """Check the algorithm x beam-size grid, then load the models, the
     validation and test splits, each encoded once for every cell, and the
     similarity measure of each agreement algorithm, built once for every
-    beam size.  An empty test split stops the command here, before any
-    weight selection or output file."""
+    beam size.  ``sizes_option`` names the option that set ``beam_sizes``,
+    for the message when one exceeds ``STEP_FLOATS``.  An empty test split
+    stops the command here, before any weight selection or output file."""
     _require(cfg, "corpus", "out")
     if any(a in _MEASURE_KINDS for a in algorithms):
         for nb in beam_sizes:
@@ -316,6 +331,15 @@ def _load_grid(cfg: RunConfig, algorithms: Sequence[str], beam_sizes: Sequence[i
                     f"beam size {nb} must be even: agreement decoding needs an even beam size"
                 )
     models = _load_models(cfg)
+    v = models[0].size
+    for nb in beam_sizes:
+        if nb * v > STEP_FLOATS:
+            option = next(option for option in fields(RunConfig) if option.name == sizes_option)
+            raise ConfigError(
+                f"{_flag(option)} (config key {_key(option)}): beam size {nb} over a vocabulary "
+                f"of {v} scores {nb * v} floats per beam step, over the budget of {STEP_FLOATS}; "
+                f"the largest beam size that fits is {STEP_FLOATS // v}"
+            )
     split = _prepare_splits(cfg)
     if not split.test:
         raise ConfigError("test split is empty; adjust --split")
@@ -459,7 +483,7 @@ def _decode_cell(
 
 
 def cmd_decode(cfg: RunConfig) -> int:
-    models, encoded, measures = _load_grid(cfg, (cfg.algorithm,), (cfg.beam_size,))
+    models, encoded, measures = _load_grid(cfg, (cfg.algorithm,), (cfg.beam_size,), "beam_size")
     (lam, curve), (bleu, d1, d2) = _decode_cell(
         cfg, cfg.algorithm, cfg.beam_size, models, encoded, measures, Memo(),
         f"decodes_{cfg.algorithm}.csv", cfg.save_beams,
@@ -474,7 +498,7 @@ def cmd_decode(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    models, encoded, measures = _load_grid(cfg, cfg.algorithms, cfg.nb_list)
+    models, encoded, measures = _load_grid(cfg, cfg.algorithms, cfg.nb_list, "nb_list")
     out = Path(cfg.out)
     selected_lambdas: dict[str, float] = {}
     lambda_curves: dict[str, list] = {}

@@ -16,12 +16,15 @@ from collections import Counter
 from itertools import chain
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Vocabulary, numbered_lines, read_user_text
 from .errors import DegeneratePairError, FormatError, ParameterError
+
+if TYPE_CHECKING:
+    from .beam import Memo
 
 log = logging.getLogger(__name__)
 
@@ -343,43 +346,71 @@ def _scale_by_brevity(cost: float, candidate_length: int, spec: SimilaritySpec) 
     return cost / penalty if spec.bp_mode == BP_DIVIDE else cost * penalty
 
 
-def dissimilarity(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec) -> float:
+def _pair_entry(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None) -> list:
+    """The WMD pair's ``[problem, wmd]``: its ``TransportProblem`` (None when
+    the pair is degenerate) and its raw WMD (None until solved).  With a
+    memo the entry is the memo's, made at the pair's first call; without
+    one it is built afresh.  See ``beam.Memo``."""
+    if memo is not None:
+        held = memo.transport.get(id(spec))
+        if held is None:
+            held = memo.transport[id(spec)] = (spec, {})
+        key = (tuple(y_n), tuple(y_r))
+        entry = held[1].get(key)
+        if entry is None:
+            entry = held[1][key] = _pair_entry(y_n, y_r, spec, None)
+        return entry
+    try:
+        problem = _transport_problem(_as_words(y_n, spec), _as_words(y_r, spec),
+                                     spec.embeddings, spec.stopwords)
+    except DegeneratePairError:
+        problem = None
+    return [problem, None]
+
+
+def dissimilarity(
+    y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None = None
+) -> float:
     """Dissimilarity d >= 0 that agreement decoding minimizes.
 
     bleu_t: d = 1 - bleu_t(y_n, y_r).  wmd_t: d = wmd / bp_t(|y_n|, T) by
     default, so short candidates incur larger dissimilarity; the multiply
     mode implements the literal product d = wmd * bp_t instead.  Degenerate
     pairs (an empty side, or nothing left after WMD filtering) score +inf so
-    the argmin skips them unless every pair is degenerate.
+    the argmin skips them unless every pair is degenerate.  With a memo, a
+    WMD pair's raw distance is solved once per memo (see ``beam.Memo``).
     """
     if not y_n or not y_r:
         return math.inf
     if spec.kind == BLEU_T:
         return 1.0 - bleu_t(y_n, y_r, spec)
-    try:
-        cost = wmd(_as_words(y_n, spec), _as_words(y_r, spec),
-                   spec.embeddings, spec.stopwords)
-    except DegeneratePairError:
+    entry = _pair_entry(y_n, y_r, spec, memo)
+    problem, cost = entry
+    if problem is None:
         return math.inf
+    if cost is None:
+        _, cost = solve_transport(problem)
+        entry[1] = cost
     return _scale_by_brevity(cost, len(y_n), spec)
 
 
-def dissimilarity_lower_bound(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec) -> float:
+def dissimilarity_lower_bound(
+    y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None = None
+) -> float:
     """A cheap lower bound on ``dissimilarity(y_n, y_r, spec)`` that solves no LP.
 
     Degenerate pairs get +inf, which ``dissimilarity`` returns exactly;
     bleu_t gets the trivial bound 0; wmd_t gets the relaxed WMD scaled by
     the same brevity penalty.  Float rounding may put the bound a few ulps
     above the exact value where the two agree mathematically, so callers
-    that prune on it must allow a small margin.
+    that prune on it must allow a small margin.  With a memo, the pair's
+    transport problem is the one ``dissimilarity`` solves.
     """
     if not y_n or not y_r:
         return math.inf
     if spec.kind == BLEU_T:
         return 0.0
-    try:
-        problem = _transport_problem(_as_words(y_n, spec), _as_words(y_r, spec),
-                                     spec.embeddings, spec.stopwords)
-    except DegeneratePairError:
+    problem = _pair_entry(y_n, y_r, spec, memo)[0]
+    if problem is None:
         return math.inf
     return _scale_by_brevity(_relaxed_wmd(problem), len(y_n), spec)

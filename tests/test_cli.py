@@ -10,22 +10,29 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
+import resource
 import shutil
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bidibeam
 from bidibeam import beam, bidi, cli
 from bidibeam.cli import main
 from bidibeam.beam import SearchParams
 from bidibeam.corpus import EOS_ID, Vocabulary, encode_pairs, load_corpus, split_corpus
 from bidibeam.lm import ConditionalNGramLM
+from bidibeam.similarity import default_stopwords
 from bidibeam.synth import (
     corpus_words,
     synthetic_pairs,
@@ -34,11 +41,14 @@ from bidibeam.synth import (
 )
 
 from oracles import (
+    naive_agreement_argmin,
     oracle_best_hypothesis,
     oracle_corpus_bleu4,
+    oracle_dissimilarity_wmd,
     oracle_lambda_curve,
     oracle_select_lambda,
     oracle_word_position_frequency,
+    reference_vbs,
 )
 
 # Small but non-trivial: 80 train / 10 validation / 10 test pairs.  The
@@ -401,6 +411,70 @@ class TestModelFileFaults:
         assert f"key {key!r}" in err
 
 
+# An address-space cap for CLI children: far below what an oversized beam
+# step would allocate, and far above what a rejected command uses.
+MEMORY_CAP = 1_500_000_000
+
+
+def run_capped(argv, cwd):
+    """Run the CLI in a child process whose address space is capped."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+    src = str(Path(bidibeam.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "bidibeam", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, preexec_fn=cap, timeout=120)
+
+
+class TestBeamBudget:
+    """A beam size whose step would score more than ``cli.STEP_FLOATS`` floats
+    exits 1, naming its flag and config key, before any search or file."""
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("decode", "B", "100000000"),
+        ("sweep", "nb_list", "2,100000000"),
+    ])
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    def test_oversized_beam_exits_1_under_a_memory_cap(
+        self, workspace, trained, tmp_path, command, key, value, by_config
+    ):
+        assert Vocabulary.load(trained / "vocab.txt").size == 37
+        if by_config:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key} = {value}\n", encoding="utf-8")
+            setting = ["--config", str(config)]
+        else:
+            setting = [FLAG_OF[key], value]
+        before = set(trained.iterdir())
+        # BASE_FLAGS's --B would win over a config key.
+        at = BASE_FLAGS.index("--B")
+        flags = BASE_FLAGS[:at] + BASE_FLAGS[at + 2:]
+        result = run_capped([command, "--corpus", str(workspace.corpus), *flags, *setting,
+                             "--algorithms", "vbs", "--out", str(trained)], tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert f"error: {FLAG_OF[key]} (config key {key}): beam size " in result.stderr
+        assert "over the budget of 16777216; the largest beam size that fits is 453438" in result.stderr
+        assert set(trained.iterdir()) == before
+
+    def test_budget_is_inclusive(self, workspace, trained, monkeypatch, capsys):
+        """B x V equal to the budget decodes; one step more is rejected, for
+        --B and for each --nb-list entry."""
+        v = Vocabulary.load(trained / "vocab.txt").size
+        monkeypatch.setattr(cli, "STEP_FLOATS", 4 * v)
+        assert decode_into(workspace, trained, "--B", "4") == 0
+        assert decode_into(workspace, trained, "--B", "5") == 1
+        assert "error: --B (config key B): beam size 5 " in capsys.readouterr().err
+        sweep = ["sweep", "--corpus", str(workspace.corpus), *BASE_FLAGS, "--algorithms", "vbs",
+                 "--out", str(trained)]
+        assert main([*sweep, "--nb-list", "2,4"]) == 0
+        (trained / "sweep.csv").unlink()
+        assert main([*sweep, "--nb-list", "4,5"]) == 1
+        assert "error: --nb-list (config key nb_list): beam size 5 " in capsys.readouterr().err
+        assert not (trained / "sweep.csv").exists()
+
+
 class TestVocabularyFileFaults:
     """A vocabulary file the constructor rejects exits 1 with the file named."""
 
@@ -718,6 +792,52 @@ def test_sweep_equals_the_oracles(size, corpus_seed, split_seed, beam_sizes, gri
         for algorithm, nb, bleu, _, _ in read_csv(out / "sweep.csv")[1:]:
             selections = persisted_selections(out / f"beams_{algorithm}_nb{nb}.jsonl")
             assert bleu == f"{oracle_corpus_bleu4(selections):.6f}"
+
+
+def test_wmd_sweep_equals_the_oracles(workspace, tmp_path):
+    """train -> sweep of bidia-wmd at nb 4 and 8, where each half-beam holds
+    2 or 4 hypotheses: every persisted beam is the regular half-beam of
+    ``reference_vbs``, and every ``selected_index`` is the naive argmin over
+    the oracle WMD of the two reference half-beams.  The test split repeats
+    sources, so the command's memo serves repeated pairs."""
+    out = tmp_path / "run"
+    flags = ["--corpus", str(workspace.corpus), *BASE_FLAGS, "--split", "0.6,0.1,0.3",
+             "--out", str(out)]
+    assert main(["train", *flags]) == 0
+    assert main(["sweep", *flags, "--algorithms", "bidia-wmd", "--nb-list", "4,8",
+                 "--embeddings", str(workspace.embeddings)]) == 0
+
+    resolved = json.loads((out / "config_sweep.json").read_text(encoding="utf-8"))
+    t, alpha = resolved["max_length"], resolved["alpha"]
+    vocab = Vocabulary.load(out / "vocab.txt")
+    regular = ConditionalNGramLM.load(out / "lm_regular.json", vocab)
+    reverse = ConditionalNGramLM.load(out / "lm_reverse.json", vocab)
+    vectors = {}
+    for line in workspace.embeddings.read_text(encoding="utf-8").splitlines()[1:]:
+        word, *values = line.split()
+        vectors[word] = np.array([float(value) for value in values])
+    stopwords = default_stopwords()
+
+    def dissimilarity(y_n, y_r):
+        return oracle_dissimilarity_wmd(vocab.decode(y_n), vocab.decode(y_r), vectors, stopwords, t)
+
+    def cores(run):
+        return [tokens[:-1] if finished else tokens for tokens, _, finished in run.beam]
+
+    for nb in (4, 8):
+        records = [json.loads(line) for line in
+                   (out / f"beams_bidia-wmd_nb{nb}.jsonl").read_text(encoding="utf-8").splitlines()]
+        sources = [tuple(record["source"]) for record in records]
+        assert len(set(sources)) < len(sources)
+        for record in records:
+            regular_run = reference_vbs(regular, record["source"], vocab.size, nb // 2, t, alpha)
+            reverse_run = reference_vbs(reverse, record["source"], vocab.size, nb // 2, t, alpha)
+            assert ([tuple(member["tokens"]) for member in record["beam"]]
+                    == [tokens for tokens, _, _ in regular_run.beam])
+            i, _, _ = naive_agreement_argmin(
+                cores(regular_run), [core[::-1] for core in cores(reverse_run)],
+                regular_run.scores, dissimilarity)
+            assert record["selected_index"] == i + 1
 
 
 class TestSearchMemo:

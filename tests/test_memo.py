@@ -1,22 +1,57 @@
 """The command memo: decodes and scorings that share one give the outputs
 of memo-free ones."""
 
+import dataclasses
+import itertools
+import math
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bidibeam import bidi, similarity
 from bidibeam.beam import Memo, SearchParams, vbs_decode
 from bidibeam.bidi import BidiSParams, bidia_decode, bidis_decode, select_lambda
 from bidibeam.corpus import SentencePair
 from bidibeam.errors import ParameterError
 from bidibeam.lm import REGULAR, REVERSE
-from bidibeam.similarity import BLEU_T, SimilaritySpec
+from bidibeam.similarity import (
+    BLEU_T,
+    BP_DIVIDE,
+    BP_MULTIPLY,
+    WMD_T,
+    EmbeddingTable,
+    SimilaritySpec,
+    dissimilarity,
+    solve_transport,
+)
 
 from conftest import RandomTableLM, TieLM, dummy_vocab, wmd_measures
 from oracles import oracle_lambda_curve, oracle_select_lambda
 
 MODELS = {"random": RandomTableLM, "ties": TieLM}
 SOURCES = ((4,), (5,), (4, 5))
+
+
+@st.composite
+def covering_wmd_measures(draw, vocab):
+    """WMD measures in which every word of ``vocab``, markers included, has a
+    vector on a small integer grid and at least one is not a stopword, so
+    that, unlike most ``wmd_measures``, most pairs of cores are solved."""
+    words = [vocab.surface_for(i) for i in range(vocab.size)]
+    point = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    vectors = {word: np.array(draw(point), dtype=float) for word in words}
+    stopwords = draw(st.frozensets(st.sampled_from(words))) - {draw(st.sampled_from(words))}
+    return SimilaritySpec(
+        WMD_T,
+        max_length=draw(st.integers(1, 6)),
+        bp_mode=draw(st.sampled_from((BP_DIVIDE, BP_MULTIPLY))),
+        embeddings=EmbeddingTable(vectors),
+        stopwords=stopwords,
+        vocab=vocab,
+    )
 
 
 def assert_same_output(memo, fresh):
@@ -33,9 +68,14 @@ def assert_same_output(memo, fresh):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_shared_memo_matches_memo_free_decodes(data):
-    """vbs, bidis and bidia at B and B/2 in any order over repeated sources.
+    """vbs, bidis and bidia at B and B/2 in any order over repeated sources,
+    with one BLEU and two WMD measures in one memo, where a WMD measure may
+    be dropped and rebuilt mid-sequence.
 
-    The memo ends up holding exactly the distinct searches the calls made.
+    The memo ends up holding exactly the distinct searches the calls made
+    and the WMD measures bidia used.  Each (measure, core pair) whose raw
+    WMD a memo call needed was solved exactly once; a memo keyed by a
+    reused ``id`` would skip the rebuilt measure's solves.
     """
     kind = data.draw(st.sampled_from(sorted(MODELS)))
     seed = data.draw(st.integers(0, 10 ** 6))
@@ -45,31 +85,79 @@ def test_shared_memo_matches_memo_free_decodes(data):
     half = data.draw(st.integers(1, 3))
     t = data.draw(st.integers(1, 5))
     alpha = data.draw(st.sampled_from([0.0, 0.6, 1.0]))
-    measures = (SimilaritySpec(BLEU_T, max_length=t), data.draw(wmd_measures(vocab)))
-    calls = data.draw(st.lists(
-        st.tuples(st.sampled_from(("vbs", "bidis", "bidia")), st.sampled_from((half, 2 * half)),
-                  st.sampled_from(SOURCES), st.sampled_from(measures),
-                  st.sampled_from([0.0, 0.5, 1.0])),
-        min_size=1, max_size=12))
+    templates = [data.draw(wmd_measures(vocab)),
+                 data.draw(covering_wmd_measures(vocab)), data.draw(covering_wmd_measures(vocab))]
+    # Slot 0 is BLEU; slots 1 and 2 hold copies made here, so this test holds
+    # their only reference and dropping one frees it unless the memo holds it.
+    slots = [SimilaritySpec(BLEU_T, max_length=t),
+             dataclasses.replace(templates[0]), dataclasses.replace(templates[1])]
+    labels = {id(measure): n for n, measure in enumerate(slots)}
+    fresh_labels = itertools.count(len(slots))
+    call = st.tuples(st.sampled_from(("vbs", "bidis", "bidia", "bidia", "rebuild")),
+                     st.sampled_from((half, 2 * half)), st.sampled_from(SOURCES),
+                     st.sampled_from(range(len(slots))), st.sampled_from([0.0, 0.5, 1.0]))
+    # Every sequence rebuilds a WMD measure between two bidia calls on one source.
+    rebuilt = (data.draw(st.sampled_from(SOURCES)), data.draw(st.sampled_from((1, 2))), 0.0)
+    calls = (data.draw(st.lists(call, max_size=6))
+             + [(algorithm, half, *rebuilt) for algorithm in ("bidia", "rebuild", "bidia")]
+             + data.draw(st.lists(call, max_size=6)))
+
+    # Which (measure label, core pair) each memo call solved or needed
+    # solved, and the labels of WMD measures a memo call looked a pair up in.
+    solved, needed, pending, wmd_labels = Counter(), set(), [], set()
+
+    def counted_dissimilarity(y_n, y_r, spec, memo=None):
+        pending.append(((labels[id(spec)], tuple(y_n), tuple(y_r)), memo is not None))
+        try:
+            d = dissimilarity(y_n, y_r, spec, memo)
+        finally:
+            key, memoised = pending.pop()
+        if memoised and spec.kind == WMD_T and y_n and y_r:
+            wmd_labels.add(key[0])
+            if d < math.inf:
+                needed.add(key)
+        return d
+
+    def counted_solve(problem):
+        key, memoised = pending[-1]
+        if memoised:
+            solved[key] += 1
+        return solve_transport(problem)
 
     memo = Memo()
     expected_keys = set()
-    for algorithm, b, source, measure, weight in calls:
-        if algorithm == "bidia":
-            b = 2 * half
-        params = SearchParams(b, t, alpha)
-        if algorithm == "vbs":
-            run = lambda memo: vbs_decode(regular, source, params, memo)
-            expected_keys.add((regular, source, params))
-        elif algorithm == "bidis":
-            run = lambda memo: bidis_decode(regular, reverse, source, BidiSParams(params, weight), memo)
-            expected_keys.add((regular, source, params))
-        else:
-            run = lambda memo: bidia_decode(regular, reverse, source, params, measure, memo)
-            halves = SearchParams(half, t, alpha)
-            expected_keys.update({(regular, source, halves), (reverse, source, halves)})
-        assert_same_output(run(memo), run(None))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bidi, "dissimilarity", counted_dissimilarity)
+        patch.setattr(similarity, "solve_transport", counted_solve)
+        for algorithm, b, source, slot, weight in calls:
+            if algorithm == "rebuild":
+                slot = slot or 1  # a WMD slot
+                del labels[id(slots[slot])]
+                slots[slot] = None
+                slots[slot] = dataclasses.replace(templates[2])
+                labels[id(slots[slot])] = next(fresh_labels)
+                continue
+            if algorithm == "bidia":
+                b = 2 * half
+            params = SearchParams(b, t, alpha)
+            if algorithm == "vbs":
+                run = lambda memo: vbs_decode(regular, source, params, memo)
+                expected_keys.add((regular, source, params))
+            elif algorithm == "bidis":
+                run = lambda memo: bidis_decode(regular, reverse, source, BidiSParams(params, weight), memo)
+                expected_keys.add((regular, source, params))
+            else:
+                measure = slots[slot]
+                run = lambda memo: bidia_decode(regular, reverse, source, params, measure, memo)
+                halves = SearchParams(half, t, alpha)
+                expected_keys.update({(regular, source, halves), (reverse, source, halves)})
+            assert_same_output(run(memo), run(None))
+            run = measure = None  # a dropped measure is then referenced by the memo alone
     assert set(memo.searches) == expected_keys
+    assert len(memo.transport) == len(wmd_labels)
+    assert all(key == id(held[0]) for key, held in memo.transport.items())
+    assert set(solved) == needed
+    assert set(solved.values()) <= {1}
 
 
 @settings(max_examples=40, deadline=None)

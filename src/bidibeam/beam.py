@@ -86,26 +86,44 @@ class DecodeOutput:
 class Memo:
     """What the decodes and scorings of one command share.
 
-    ``searches`` maps (model, source, params) to a search's ``DecodeOutput``;
-    ``vbs_decode`` returns a search made before as the stored object.  The
-    model in the key hashes by identity, which also fixes the direction.
-    ``bleu`` is the ``evaluation`` BLEU memo.  ``transport`` maps a WMD
-    measure's ``id`` to that measure and its pairs: each (regular core,
-    reverse core) maps to ``[problem, wmd]``, the pair's ``TransportProblem``
-    (None for a degenerate pair) and, once solved, its raw WMD (None
-    before).  Holding the measure keeps its ``id`` from being reused while
-    the memo lives.  The relaxed bound and the exact solve of a pair share
-    the one problem, and each pair is solved once per memo; ``bp_t`` is
-    applied on every call, since it depends on the call's measure and
-    candidate length.  A memo-free call builds and solves every pair afresh.
-    Every entry is a pure function of its key, so a decode or score equals a
-    memo-free one.  Each command builds one memo, which lives as long as the
-    command and has no size cap.
+    Each entry is a pure function of its key, made by the first call that
+    needs it and read by every later one, so a decode or score equals a
+    memo-free one.  Models in a key hash by identity, which also fixes
+    their direction.  A similarity measure is an unhashable dataclass, so a
+    key holds its ``id`` and the entry holds the measure itself, which keeps
+    that ``id`` from being reused while the memo lives; a rebuilt measure
+    never finds an entry of the one it replaces.
+
+    - ``searches``: (model, source, params) -> a beam search's
+      ``DecodeOutput``; ``vbs_decode`` returns it as the stored object.
+    - ``rescorings``: (regular, reverse, source, search params) -> the
+      regular search and its ``rescore_terms``, shared by ``bidis_decode``
+      and ``select_lambda``, so a source is re-scored once.
+    - ``agreements``: (regular, reverse, source, params, measure ``id``) ->
+      (measure, ``bidia_decode``'s ``DecodeOutput``), returned as the
+      stored object.
+    - ``transport``: a WMD measure's ``id`` -> (measure, {(regular core,
+      reverse core): [problem, bound, wmd]}): the pair's
+      ``TransportProblem`` (None for a degenerate pair), its relaxed WMD and
+      its raw WMD, each of the last two None until a call needs it.  The
+      bound and the exact solve share the one problem, and each pair is
+      solved once; ``bp_t`` is applied on every call, since it depends on
+      the call's measure and candidate length.
+    - ``similarities``: a BLEU-T measure's ``id`` -> (measure, {(regular
+      core, reverse core): dissimilarity}).
+    - ``bleu``: the ``evaluation`` BLEU memo.
+
+    A memo-free call hashes nothing, so any model decodes, and computes
+    everything afresh.  Each command builds one memo, which lives as long
+    as the command and has no size cap.
     """
 
     searches: dict[tuple, DecodeOutput] = field(default_factory=dict)
-    bleu: BleuMemo = field(default_factory=dict)
+    rescorings: dict[tuple, tuple[DecodeOutput, list]] = field(default_factory=dict)
+    agreements: dict[tuple, tuple[SimilaritySpec, DecodeOutput]] = field(default_factory=dict)
     transport: dict[int, tuple[SimilaritySpec, dict[tuple, list]]] = field(default_factory=dict)
+    similarities: dict[int, tuple[SimilaritySpec, dict[tuple, float]]] = field(default_factory=dict)
+    bleu: BleuMemo = field(default_factory=dict)
 
 
 def length_penalty(length: int, alpha: float) -> float:

@@ -103,6 +103,27 @@ def rank_by_combined_score(
     return combined
 
 
+def _rescored(
+    regular: LanguageModel,
+    reverse: LanguageModel,
+    source: Sequence[int],
+    search: SearchParams,
+    memo: Memo | None,
+) -> tuple[DecodeOutput, list[tuple[float, float]]]:
+    """The regular search of ``source`` and its ``rescore_terms``, made once
+    per ``memo.rescorings`` key (see ``beam.Memo``)."""
+    if memo is None:
+        base = vbs_decode(regular, source, search)
+        return base, rescore_terms(base.beam, reverse, source, search.alpha)
+    key = (regular, reverse, tuple(source), search)
+    held = memo.rescorings.get(key)
+    if held is None:
+        base = vbs_decode(regular, source, search, memo)
+        terms = rescore_terms(base.beam, reverse, source, search.alpha)
+        held = memo.rescorings[key] = (base, terms)
+    return held
+
+
 def bidis_decode(
     regular: LanguageModel,
     reverse: LanguageModel,
@@ -113,11 +134,11 @@ def bidis_decode(
     """Decode with the regular model, then re-rank by both directions.
 
     ``selected_index`` reports the winning candidate's original rank in the
-    regular beam, which is what rank analysis histograms.
+    regular beam, which is what rank analysis histograms.  A search and
+    re-scoring already in ``memo.rescorings`` is not repeated.
     """
     _check_directions(regular, reverse)
-    base = vbs_decode(regular, source, params.search, memo)
-    terms = rescore_terms(base.beam, reverse, source, params.search.alpha)
+    base, terms = _rescored(regular, reverse, source, params.search, memo)
     order = rank_by_combined_score(base.beam, terms, params.reverse_weight)
     report = ComplexityReport(algorithm="bidis")
     report.merge_search(base.report)
@@ -145,7 +166,9 @@ def select_lambda(
     Returns the weight and the validation curve that chose it: one
     (weight, corpus BLEU-4) pair per grid value, in ascending weight order.
     Ties prefer the smallest weight; an empty validation split falls back
-    to the smallest grid value with an empty curve.  Every weight's
+    to the smallest grid value with an empty curve.  Each validation
+    source is searched and re-scored as ``bidis_decode`` does it, so with a
+    memo a source that is also decoded is re-scored once.  Every weight's
     selections are scored by ``corpus_bleu4`` over one BLEU memo,
     ``memo.bleu`` or a fresh one, so a pair some weights share is counted
     once.
@@ -157,11 +180,7 @@ def select_lambda(
     grid = sorted(grid)
     if not validation:
         return grid[0], []
-    bases = []
-    for pair in validation:
-        base = vbs_decode(regular, pair.source, search, memo)
-        terms = rescore_terms(base.beam, reverse, pair.source, search.alpha)
-        bases.append((pair, base, terms))
+    bases = [(pair, *_rescored(regular, reverse, pair.source, search, memo)) for pair in validation]
     bleu = {} if memo is None else memo.bleu
     curve = []
     for lam in grid:
@@ -231,11 +250,30 @@ def bidia_decode(
     reverse-side hypotheses and outputs the regular-side member of the
     cross-beam pair of least dissimilarity.  Ties prefer the higher regular
     normalized score, then the lower regular index, then the lower reverse
-    index.
+    index.  A decode already in ``memo.agreements`` is not repeated.
     """
     _check_directions(regular, reverse)
     if params.beam_size % 2 != 0 or params.beam_size < 2:
         raise ParameterError("agreement decoding needs an even beam size >= 2")
+    if memo is None:
+        return _agree(regular, reverse, source, params, measure, None)
+    key = (regular, reverse, tuple(source), params, id(measure))
+    held = memo.agreements.get(key)
+    if held is None:
+        output = _agree(regular, reverse, source, params, measure, memo)
+        held = memo.agreements[key] = (measure, output)
+    return held[1]
+
+
+def _agree(
+    regular: LanguageModel,
+    reverse: LanguageModel,
+    source: Sequence[int],
+    params: SearchParams,
+    measure: SimilaritySpec,
+    memo: Memo | None,
+) -> DecodeOutput:
+    """One agreement decode without the ``agreements`` memo; see ``bidia_decode``."""
     half = SearchParams(params.beam_size // 2, params.max_length, params.alpha)
     run_regular = vbs_decode(regular, source, half, memo)
     run_reverse = vbs_decode(reverse, source, half, memo)

@@ -34,7 +34,7 @@ from .corpus import (
     read_user_text,
     split_corpus,
 )
-from .errors import BidibeamError, ConfigError
+from .errors import BidibeamError, ConfigError, ParameterError
 from .evaluation import best_hypothesis, corpus_bleu4, distinct_n, rank_histogram, surface_position_frequency
 from .lm import DEFAULT_K, DEFAULT_ORDER, DEFAULT_WEIGHTS, REGULAR, REVERSE, ConditionalNGramLM
 from .similarity import (
@@ -187,6 +187,12 @@ def _flag(option: Field) -> str:
     return "--" + _key(option).replace("_", "-")
 
 
+def _named(name: str) -> str:
+    """The flag and config key of the RunConfig field ``name``, for a message."""
+    option = next(option for option in fields(RunConfig) if option.name == name)
+    return f"{_flag(option)} (config key {_key(option)})"
+
+
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read a flat key=value config file; # starts a comment line."""
     values: dict[str, str] = {}
@@ -304,14 +310,17 @@ def _build_measure(cfg: RunConfig, vocab: Vocabulary, kind: str) -> SimilaritySp
         embeddings = load_embeddings(cfg.embeddings)
     except OSError as exc:
         raise ConfigError(f"cannot read similarity resources: {exc}") from None
-    return SimilaritySpec(
-        kind=WMD_T,
-        max_length=cfg.max_length,
-        bp_mode=cfg.bp_mode,
-        embeddings=embeddings,
-        stopwords=stopwords,
-        vocab=vocab,
-    )
+    try:
+        return SimilaritySpec(
+            kind=WMD_T,
+            max_length=cfg.max_length,
+            bp_mode=cfg.bp_mode,
+            embeddings=embeddings,
+            stopwords=stopwords,
+            vocab=vocab,
+        )
+    except ParameterError as exc:  # only the length limit can be out of range here
+        raise ConfigError(f"{_named('max_length')}: {exc}") from None
 
 
 def _load_grid(
@@ -334,9 +343,8 @@ def _load_grid(
     v = models[0].size
     for nb in beam_sizes:
         if nb * v > STEP_FLOATS:
-            option = next(option for option in fields(RunConfig) if option.name == sizes_option)
             raise ConfigError(
-                f"{_flag(option)} (config key {_key(option)}): beam size {nb} over a vocabulary "
+                f"{_named(sizes_option)}: beam size {nb} over a vocabulary "
                 f"of {v} scores {nb * v} floats per beam step, over the budget of {STEP_FLOATS}; "
                 f"the largest beam size that fits is {STEP_FLOATS // v}"
             )
@@ -418,6 +426,15 @@ def cmd_train(cfg: RunConfig) -> int:
     split = _prepare_splits(cfg)
     if not split.train:
         raise ConfigError("train split is empty; adjust --split")
+    # The deepest context is the longest stream [BOS, source..., SEP,
+    # target..., EOS] without its last token, which an order as long as that
+    # stream reads whole; any higher order only repeats the order below.
+    useful = max(len(source) + len(target) for source, target in split.train) + 3
+    if cfg.order > useful:
+        raise ConfigError(
+            f"{_named('order')}: order {cfg.order} exceeds the deepest training context; "
+            f"the largest useful order on this train split is {useful}"
+        )
     vocab = build_vocabulary(split.train, cfg.min_count)
     train_pairs = encode_pairs(split.train, vocab)
     regular = ConditionalNGramLM.train(

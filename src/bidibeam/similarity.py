@@ -43,6 +43,11 @@ class SimilaritySpec:
 
     ``embeddings``, ``stopwords`` and ``vocab`` are only consulted by the
     WMD measure; ``vocab`` maps token ids to words before embedding lookup.
+    A WMD measure rejects a ``max_length`` T whose brevity penalty would
+    make some d meaningless: every WMD cost is at most twice the largest
+    vector norm and every candidate's penalty at least bp_t(1, T), so T is
+    rejected when that penalty underflows to 0 or, in divide mode, when
+    the largest cost divided by it overflows.
     """
 
     kind: str
@@ -59,8 +64,17 @@ class SimilaritySpec:
             raise ParameterError("maximum sentence length must be >= 1")
         if self.bp_mode not in (BP_DIVIDE, BP_MULTIPLY):
             raise ParameterError(f"unknown brevity-penalty mode {self.bp_mode!r}")
-        if self.kind == WMD_T and self.embeddings is None:
-            raise ParameterError("the WMD measure requires an embedding table")
+        if self.kind == WMD_T:
+            if self.embeddings is None:
+                raise ParameterError("the WMD measure requires an embedding table")
+            penalty = bp_t(1, self.max_length)
+            largest = 2 * self.embeddings.largest_norm()
+            if penalty == 0.0 or self.bp_mode == BP_DIVIDE and not math.isfinite(largest / penalty):
+                raise ParameterError(
+                    f"maximum sentence length {self.max_length} is too large for the WMD measure: "
+                    f"a one-token candidate's brevity penalty is {penalty!r}, so WMD costs up to "
+                    f"{largest!r} would not scale to a finite, comparable dissimilarity"
+                )
 
 
 def bp_t(candidate_length: int, reference_length: int) -> float:
@@ -161,6 +175,11 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self._vectors)
+
+    def largest_norm(self) -> float:
+        """The largest Euclidean norm of a vector; every WMD cost between two
+        of the vectors is at most twice it."""
+        return max(float(np.linalg.norm(v)) for v in self._vectors.values())
 
     def vector(self, word: str) -> np.ndarray:
         if word not in self._vectors:
@@ -346,26 +365,36 @@ def _scale_by_brevity(cost: float, candidate_length: int, spec: SimilaritySpec) 
     return cost / penalty if spec.bp_mode == BP_DIVIDE else cost * penalty
 
 
-def _pair_entry(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None) -> list:
-    """The WMD pair's ``[problem, wmd]``: its ``TransportProblem`` (None when
-    the pair is degenerate) and its raw WMD (None until solved).  With a
-    memo the entry is the memo's, made at the pair's first call; without
-    one it is built afresh.  See ``beam.Memo``."""
-    if memo is not None:
-        held = memo.transport.get(id(spec))
-        if held is None:
-            held = memo.transport[id(spec)] = (spec, {})
-        key = (tuple(y_n), tuple(y_r))
-        entry = held[1].get(key)
-        if entry is None:
-            entry = held[1][key] = _pair_entry(y_n, y_r, spec, None)
-        return entry
+def _memoised(table: dict | None, y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, make):
+    """``make(y_n, y_r, spec)``, or with a memo ``table`` keyed by measure
+    ``id`` (see ``beam.Memo``) the value it holds for the pair, made at the
+    pair's first call."""
+    if table is None:
+        return make(y_n, y_r, spec)
+    held = table.get(id(spec))
+    if held is None:
+        held = table[id(spec)] = (spec, {})
+    key = (tuple(y_n), tuple(y_r))
+    value = held[1].get(key)
+    if value is None:
+        value = held[1][key] = make(y_n, y_r, spec)
+    return value
+
+
+def _pair_entry(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec) -> list:
+    """The WMD pair's ``[problem, bound, wmd]``: its ``TransportProblem``
+    (None when the pair is degenerate), then its relaxed and raw WMD, each
+    None until needed."""
     try:
         problem = _transport_problem(_as_words(y_n, spec), _as_words(y_r, spec),
                                      spec.embeddings, spec.stopwords)
     except DegeneratePairError:
         problem = None
-    return [problem, None]
+    return [problem, None, None]
+
+
+def _bleu_dissimilarity(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec) -> float:
+    return 1.0 - bleu_t(y_n, y_r, spec)
 
 
 def dissimilarity(
@@ -378,19 +407,21 @@ def dissimilarity(
     mode implements the literal product d = wmd * bp_t instead.  Degenerate
     pairs (an empty side, or nothing left after WMD filtering) score +inf so
     the argmin skips them unless every pair is degenerate.  With a memo, a
-    WMD pair's raw distance is solved once per memo (see ``beam.Memo``).
+    BLEU-T pair's d and a WMD pair's raw distance are computed once per
+    memo (see ``beam.Memo``).
     """
     if not y_n or not y_r:
         return math.inf
     if spec.kind == BLEU_T:
-        return 1.0 - bleu_t(y_n, y_r, spec)
-    entry = _pair_entry(y_n, y_r, spec, memo)
-    problem, cost = entry
+        return _memoised(None if memo is None else memo.similarities, y_n, y_r, spec,
+                         _bleu_dissimilarity)
+    entry = _memoised(None if memo is None else memo.transport, y_n, y_r, spec, _pair_entry)
+    problem, _, cost = entry
     if problem is None:
         return math.inf
     if cost is None:
         _, cost = solve_transport(problem)
-        entry[1] = cost
+        entry[2] = cost
     return _scale_by_brevity(cost, len(y_n), spec)
 
 
@@ -404,13 +435,17 @@ def dissimilarity_lower_bound(
     the same brevity penalty.  Float rounding may put the bound a few ulps
     above the exact value where the two agree mathematically, so callers
     that prune on it must allow a small margin.  With a memo, the pair's
-    transport problem is the one ``dissimilarity`` solves.
+    transport problem is the one ``dissimilarity`` solves, and its relaxed
+    WMD is computed once per memo.
     """
     if not y_n or not y_r:
         return math.inf
     if spec.kind == BLEU_T:
         return 0.0
-    problem = _pair_entry(y_n, y_r, spec, memo)[0]
+    entry = _memoised(None if memo is None else memo.transport, y_n, y_r, spec, _pair_entry)
+    problem, bound, _ = entry
     if problem is None:
         return math.inf
-    return _scale_by_brevity(_relaxed_wmd(problem), len(y_n), spec)
+    if bound is None:
+        bound = entry[1] = _relaxed_wmd(problem)
+    return _scale_by_brevity(bound, len(y_n), spec)

@@ -120,6 +120,25 @@ def wmd_measures(draw, vocab: Vocabulary) -> SimilaritySpec:
     )
 
 
+@st.composite
+def covering_wmd_measures(draw, vocab: Vocabulary) -> SimilaritySpec:
+    """WMD measures in which every word of ``vocab``, markers included, has a
+    vector on a small integer grid and at least one is not a stopword, so
+    that, unlike most ``wmd_measures``, most pairs of cores are solved."""
+    words = [vocab.surface_for(i) for i in range(vocab.size)]
+    point = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    vectors = {word: np.array(draw(point), dtype=float) for word in words}
+    stopwords = draw(st.frozensets(st.sampled_from(words))) - {draw(st.sampled_from(words))}
+    return SimilaritySpec(
+        WMD_T,
+        max_length=draw(st.integers(1, 6)),
+        bp_mode=draw(st.sampled_from((BP_DIVIDE, BP_MULTIPLY))),
+        embeddings=EmbeddingTable(vectors),
+        stopwords=stopwords,
+        vocab=vocab,
+    )
+
+
 @pytest.fixture
 def vocab6() -> Vocabulary:
     return dummy_vocab(6)

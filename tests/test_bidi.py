@@ -36,7 +36,7 @@ from bidibeam.similarity import (
     dissimilarity_lower_bound,
 )
 
-from conftest import RandomTableLM, dummy_vocab, wmd_measures
+from conftest import RandomTableLM, covering_wmd_measures, dummy_vocab, wmd_measures
 from oracles import (
     naive_agreement_argmin,
     oracle_dissimilarity_bleu,
@@ -377,6 +377,7 @@ class TestAgreementArgmin:
         vocab = dummy_vocab(9)
         spec = data.draw(st.one_of(
             wmd_measures(vocab),
+            covering_wmd_measures(vocab),
             st.builds(SimilaritySpec, st.just(BLEU_T), st.integers(1, 6))))
         regular = data.draw(HALF_BEAMS)
         reverse = regular if data.draw(st.booleans()) else data.draw(HALF_BEAMS)
@@ -437,7 +438,7 @@ class TestAgreementArgmin:
     @given(st.data(), st.integers(0, 10 ** 6), st.sampled_from([2, 4, 6, 8]))
     def test_bidia_decode_equals_naive_scan(self, data, seed, b):
         vocab = dummy_vocab(9)
-        spec = data.draw(wmd_measures(vocab))
+        spec = data.draw(st.one_of(wmd_measures(vocab), covering_wmd_measures(vocab)))
         regular = RandomTableLM(vocab, seed, direction=REGULAR)
         reverse = RandomTableLM(vocab, seed + 1, direction=REVERSE)
         out = bidia_decode(regular, reverse, (4, 5), SearchParams(b, 5), spec)

@@ -136,6 +136,32 @@ class TestTrain:
         assert code == 1
         assert "train split is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    def test_order_beyond_the_deepest_context_rejected(self, workspace, tmp_path, capsys, by_config):
+        """An order above the longest training stream's length exits 1,
+        naming --order and the largest useful order, before any file is
+        written; that largest order itself trains."""
+        split = split_corpus(load_corpus(workspace.corpus), (0.8, 0.1, 0.1), 7)
+        useful = max(len(source) + len(target) for source, target in split.train) + 3
+        out = tmp_path / "run"
+
+        def train(order):
+            weights = ",".join(["0"] * (order - 1) + ["1"])
+            setting = ["--order", str(order), "--weights", weights]
+            if by_config:
+                config = tmp_path / "run.cfg"
+                config.write_text(f"order = {order}\nweights = {weights}\n", encoding="utf-8")
+                setting = ["--config", str(config)]
+            return main(["train", "--corpus", str(workspace.corpus), "--split", "0.8,0.1,0.1",
+                         "--seed", "7", *setting, "--out", str(out)])
+
+        assert train(useful + 1) == 1
+        assert (f"error: --order (config key order): order {useful + 1} exceeds the deepest "
+                f"training context; the largest useful order on this train split is {useful}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert train(useful) == 0
+
     def test_missing_out_flag_rejected(self, workspace, capsys):
         code = main(["train", "--corpus", str(workspace.corpus)])
         assert code == 1
@@ -386,6 +412,38 @@ class TestDecode:
         )
         assert code == 0
         assert (trained / "decodes_bidia-wmd.csv").is_file()
+
+    @pytest.mark.parametrize("command", ["decode", "sweep"])
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize("t, mode", [("3000", "divide"), ("3000", "multiply"), ("720", "divide")])
+    def test_wmd_length_limit_out_of_range_rejected(
+        self, workspace, trained, tmp_path, capsys, command, by_config, t, mode
+    ):
+        """A T whose one-token brevity penalty underflows to 0, or in divide
+        mode scales the largest WMD cost past the largest float, exits 1
+        naming --T before any search or file write."""
+        at = BASE_FLAGS.index("--T")
+        flags = BASE_FLAGS[:at] + BASE_FLAGS[at + 2:]
+        setting = ["--T", t]
+        if by_config:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"T = {t}\n", encoding="utf-8")
+            setting = ["--config", str(config)]
+        before = set(trained.iterdir())
+        code = main([command, "--corpus", str(workspace.corpus), *flags, *setting,
+                     "--bp-mode", mode, "--algorithm", "bidia-wmd", "--algorithms", "vbs,bidia-wmd",
+                     "--nb-list", "2", "--embeddings", str(workspace.embeddings),
+                     "--out", str(trained)])
+        assert code == 1
+        assert (f"error: --T (config key T): maximum sentence length {t} is too large for the "
+                "WMD measure" in capsys.readouterr().err)
+        assert set(trained.iterdir()) == before
+
+    def test_wmd_length_limit_in_range_for_multiply_decodes(self, workspace, trained):
+        """At T = 720 the divide mode overflows, but the multiply mode's
+        penalty is still above 0, so it decodes."""
+        assert decode_into(workspace, trained, "--algorithm", "bidia-wmd", "--T", "720",
+                           "--bp-mode", "multiply", "--embeddings", str(workspace.embeddings)) == 0
 
     def test_decode_without_models_fails(self, workspace, tmp_path, capsys):
         code = decode_into(workspace, tmp_path / "empty")
@@ -900,16 +958,24 @@ class TestSearchMemo:
         assert set(runs.values()) == {1}
 
     def test_every_cell_equals_a_standalone_decode(self, workspace, tmp_path):
+        """Each cell of one sweep over every algorithm at nb 2, 4 and 8 writes
+        the decodes and beams that a decode command, with its own memo,
+        writes alone.  Test sources repeat, and some are also validation
+        sources, so an entry that leaked across cells would show."""
         out = tmp_path / "sweep"
-        assert train_into(workspace, out) == 0
-        shared = [*BASE_FLAGS, "--lambda-grid", "0.0,0.5,2.0", "--embeddings",
-                  str(workspace.embeddings)]
+        shared = [*BASE_FLAGS, "--split", "0.6,0.1,0.3", "--lambda-grid", "0.0,0.5,2.0",
+                  "--embeddings", str(workspace.embeddings)]
+        split = split_corpus(load_corpus(workspace.corpus), (0.6, 0.1, 0.3), 7)
+        test_sources = [tuple(source) for source, _ in split.test]
+        assert len(set(test_sources)) < len(test_sources)
+        assert set(test_sources) & {tuple(source) for source, _ in split.validation}
+        assert main(["train", "--corpus", str(workspace.corpus), *shared, "--out", str(out)]) == 0
         code = main(["sweep", "--corpus", str(workspace.corpus), *shared,
-                     "--algorithms", ",".join(cli.ALGORITHMS), "--nb-list", "2,4",
+                     "--algorithms", ",".join(cli.ALGORITHMS), "--nb-list", "2,4,8",
                      "--out", str(out)])
         assert code == 0
         for algorithm in cli.ALGORITHMS:
-            for nb in (2, 4):
+            for nb in (2, 4, 8):
                 alone = tmp_path / f"{algorithm}_{nb}"
                 alone.mkdir()
                 for name in ("vocab.txt", "lm_regular.json", "lm_reverse.json"):

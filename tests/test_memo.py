@@ -6,7 +6,6 @@ import itertools
 import math
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,42 +15,21 @@ from bidibeam.beam import Memo, SearchParams, vbs_decode
 from bidibeam.bidi import BidiSParams, bidia_decode, bidis_decode, select_lambda
 from bidibeam.corpus import SentencePair
 from bidibeam.errors import ParameterError
-from bidibeam.lm import REGULAR, REVERSE
+from bidibeam.lm import REGULAR, REVERSE, reverse_sequence_logprob
 from bidibeam.similarity import (
     BLEU_T,
-    BP_DIVIDE,
-    BP_MULTIPLY,
     WMD_T,
-    EmbeddingTable,
     SimilaritySpec,
     dissimilarity,
+    dissimilarity_lower_bound,
     solve_transport,
 )
 
-from conftest import RandomTableLM, TieLM, dummy_vocab, wmd_measures
+from conftest import RandomTableLM, TieLM, covering_wmd_measures, dummy_vocab, wmd_measures
 from oracles import oracle_lambda_curve, oracle_select_lambda
 
 MODELS = {"random": RandomTableLM, "ties": TieLM}
 SOURCES = ((4,), (5,), (4, 5))
-
-
-@st.composite
-def covering_wmd_measures(draw, vocab):
-    """WMD measures in which every word of ``vocab``, markers included, has a
-    vector on a small integer grid and at least one is not a stopword, so
-    that, unlike most ``wmd_measures``, most pairs of cores are solved."""
-    words = [vocab.surface_for(i) for i in range(vocab.size)]
-    point = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
-    vectors = {word: np.array(draw(point), dtype=float) for word in words}
-    stopwords = draw(st.frozensets(st.sampled_from(words))) - {draw(st.sampled_from(words))}
-    return SimilaritySpec(
-        WMD_T,
-        max_length=draw(st.integers(1, 6)),
-        bp_mode=draw(st.sampled_from((BP_DIVIDE, BP_MULTIPLY))),
-        embeddings=EmbeddingTable(vectors),
-        stopwords=stopwords,
-        vocab=vocab,
-    )
 
 
 def assert_same_output(memo, fresh):
@@ -72,10 +50,13 @@ def test_shared_memo_matches_memo_free_decodes(data):
     with one BLEU and two WMD measures in one memo, where a WMD measure may
     be dropped and rebuilt mid-sequence.
 
-    The memo ends up holding exactly the distinct searches the calls made
-    and the WMD measures bidia used.  Each (measure, core pair) whose raw
-    WMD a memo call needed was solved exactly once; a memo keyed by a
-    reused ``id`` would skip the rebuilt measure's solves.
+    The memo ends up holding exactly the distinct searches, re-scorings and
+    agreement decodes the calls made, and the WMD measures bidia used.
+    Each (measure, core pair) whose raw WMD a memo call needed was solved
+    exactly once.  A bidia call repeating an earlier one's source, params
+    and measure computes no dissimilarity, bound or solve, and every other
+    bidia call does; a memo keyed by a reused ``id`` would let the rebuilt
+    measure hit the dropped one's entries.
     """
     kind = data.draw(st.sampled_from(sorted(MODELS)))
     seed = data.draw(st.integers(0, 10 ** 6))
@@ -105,8 +86,14 @@ def test_shared_memo_matches_memo_free_decodes(data):
     # Which (measure label, core pair) each memo call solved or needed
     # solved, and the labels of WMD measures a memo call looked a pair up in.
     solved, needed, pending, wmd_labels = Counter(), set(), [], set()
+    scanned = [0]  # dissimilarity, bound and solve calls made with the memo
+
+    def counted_bound(y_n, y_r, spec, memo=None):
+        scanned[0] += memo is not None
+        return dissimilarity_lower_bound(y_n, y_r, spec, memo)
 
     def counted_dissimilarity(y_n, y_r, spec, memo=None):
+        scanned[0] += memo is not None
         pending.append(((labels[id(spec)], tuple(y_n), tuple(y_r)), memo is not None))
         try:
             d = dissimilarity(y_n, y_r, spec, memo)
@@ -121,13 +108,15 @@ def test_shared_memo_matches_memo_free_decodes(data):
     def counted_solve(problem):
         key, memoised = pending[-1]
         if memoised:
+            scanned[0] += 1
             solved[key] += 1
         return solve_transport(problem)
 
     memo = Memo()
-    expected_keys = set()
+    expected_keys, expected_rescorings, agreements = set(), set(), set()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bidi, "dissimilarity", counted_dissimilarity)
+        patch.setattr(bidi, "dissimilarity_lower_bound", counted_bound)
         patch.setattr(similarity, "solve_transport", counted_solve)
         for algorithm, b, source, slot, weight in calls:
             if algorithm == "rebuild":
@@ -146,14 +135,23 @@ def test_shared_memo_matches_memo_free_decodes(data):
             elif algorithm == "bidis":
                 run = lambda memo: bidis_decode(regular, reverse, source, BidiSParams(params, weight), memo)
                 expected_keys.add((regular, source, params))
+                expected_rescorings.add((regular, reverse, source, params))
             else:
                 measure = slots[slot]
                 run = lambda memo: bidia_decode(regular, reverse, source, params, measure, memo)
                 halves = SearchParams(half, t, alpha)
                 expected_keys.update({(regular, source, halves), (reverse, source, halves)})
+            before = scanned[0]
             assert_same_output(run(memo), run(None))
+            if algorithm == "bidia":
+                agreement = (source, labels[id(measure)])
+                assert (scanned[0] == before) == (agreement in agreements)
+                agreements.add(agreement)
             run = measure = None  # a dropped measure is then referenced by the memo alone
     assert set(memo.searches) == expected_keys
+    assert set(memo.rescorings) == expected_rescorings
+    assert len(memo.agreements) == len(agreements)
+    assert all(key[-1] == id(held[0]) for key, held in memo.agreements.items())
     assert len(memo.transport) == len(wmd_labels)
     assert all(key == id(held[0]) for key, held in memo.transport.items())
     assert set(solved) == needed
@@ -188,6 +186,43 @@ def test_select_lambda_matches_per_weight_bleu(seed, b, t, data):
     assert select_lambda(regular, reverse, validation, search, grid, memo) == expected
     assert set(memo.searches) == {(regular, pair.source, search) for pair in validation}
     assert set(memo.bleu) == {pair.target for pair in validation}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 5), st.data())
+def test_select_lambda_then_bidis_rescore_each_member_once(seed, b, t, data):
+    """λ selection, then bidis decodes at the same search over one memo, on
+    sources that repeat within and across the validation and test lists:
+    the reverse model scores each distinct (source, beam member) once, and
+    every result equals its memo-free one."""
+    vocab = dummy_vocab(7)
+    regular = RandomTableLM(vocab, seed, direction=REGULAR)
+    reverse = RandomTableLM(vocab, seed + 1, direction=REVERSE)
+    search = SearchParams(b, t)
+    sources = st.lists(st.sampled_from(SOURCES), min_size=1, max_size=5)
+    validation = [SentencePair(source, (4, 5)) for source in data.draw(sources)]
+    test = data.draw(sources)
+    grid = [0.0, 0.5, 2.0]
+    scored = Counter()
+
+    def counted(model, source, core):
+        scored[(model, tuple(source), tuple(core))] += 1
+        return reverse_sequence_logprob(model, source, core)
+
+    memo = Memo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bidi, "reverse_sequence_logprob", counted)
+        lam, curve = select_lambda(regular, reverse, validation, search, grid, memo)
+        params = BidiSParams(search, lam)
+        outputs = [bidis_decode(regular, reverse, source, params, memo) for source in test]
+    assert (lam, curve) == select_lambda(regular, reverse, validation, search, grid)
+    for source, output in zip(test, outputs):
+        assert_same_output(output, bidis_decode(regular, reverse, source, params))
+    distinct = {pair.source for pair in validation} | set(test)
+    assert set(scored.values()) == {1}
+    assert set(scored) == {(reverse, source, h.core())
+                           for source in distinct for h in vbs_decode(regular, source, search).beam}
+    assert set(memo.rescorings) == {(regular, reverse, source, search) for source in distinct}
 
 
 class UnhashableLM(RandomTableLM):

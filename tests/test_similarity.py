@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from bidibeam.errors import DegeneratePairError, FormatError, ParameterError
 from bidibeam.similarity import (
     BLEU_T,
+    BP_DIVIDE,
+    BP_MULTIPLY,
     WMD_T,
     EmbeddingTable,
     SimilaritySpec,
@@ -71,6 +73,28 @@ class TestSimilaritySpec:
     def test_unknown_bp_mode_rejected(self):
         with pytest.raises(ParameterError):
             SimilaritySpec(BLEU_T, max_length=5, bp_mode="add")
+
+    @pytest.mark.parametrize("mode", [BP_DIVIDE, BP_MULTIPLY])
+    def test_wmd_length_limit_is_exact(self, mode):
+        """The WMD measure accepts exactly the T at which bp_t(1, T) > 0 and,
+        in divide mode, the largest cost over it is finite.  Here the two
+        words sit at twice the largest norm apart, so at the largest
+        accepted T their one-token pair's d is finite and positive, and the
+        next T raises a ParameterError, not a ZeroDivisionError."""
+        table = EmbeddingTable({"a": np.array([0.6, 0.8]), "b": np.array([-0.6, -0.8])})
+
+        def fits(t):
+            penalty = bp_t(1, t)
+            return penalty > 0.0 and (mode == BP_MULTIPLY or math.isfinite(2.0 / penalty))
+
+        last = max(t for t in range(1, 800) if fits(t))
+        assert all(fits(t) for t in range(1, last + 1))
+        assert 700 < last < 747
+        spec = SimilaritySpec(WMD_T, max_length=last, bp_mode=mode, embeddings=table)
+        assert 0.0 < dissimilarity(["a"], ["b"], spec) < math.inf
+        for t in (last + 1, 3000):
+            with pytest.raises(ParameterError, match=f"maximum sentence length {t} is too large"):
+                SimilaritySpec(WMD_T, max_length=t, bp_mode=mode, embeddings=table)
 
 
 class TestBleuT:

@@ -15,7 +15,7 @@ Hypothesis objects only for the children that survive the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ from .lm import LanguageModel
 if TYPE_CHECKING:
     from .bidi import AgreementPair
     from .evaluation import BleuMemo
-    from .similarity import SimilaritySpec
 
 
 @dataclass(frozen=True)
@@ -82,48 +81,40 @@ class DecodeOutput:
     agreement: Optional["AgreementPair"] = None
 
 
-@dataclass
-class Memo:
+class Memo(dict):
     """What the decodes and scorings of one command share.
 
-    Each entry is a pure function of its key, made by the first call that
-    needs it and read by every later one, so a decode or score equals a
-    memo-free one.  Models in a key hash by identity, which also fixes
-    their direction.  A similarity measure is an unhashable dataclass, so a
-    key holds its ``id`` and the entry holds the measure itself, which keeps
-    that ``id`` from being reused while the memo lives; a rebuilt measure
-    never finds an entry of the one it replaces.
+    One table maps ``(make, *args)`` to ``make(*args, memo)``, made by the
+    first lookup that misses (``__missing__``) and read by every later one.
+    Each maker is a pure function of its arguments and takes the memo last,
+    so the values it needs in turn come from the same table, and a decode or
+    score equals a memo-free one.  A stored None (a degenerate WMD pair's
+    transport problem) is a value like any other.  Models and similarity
+    measures in a key hash by identity, and the key holds the object itself,
+    so a rebuilt measure never finds an entry of the one it replaces.
 
-    - ``searches``: (model, source, params) -> a beam search's
-      ``DecodeOutput``; ``vbs_decode`` returns it as the stored object.
-    - ``rescorings``: (regular, reverse, source, search params) -> the
-      regular search and its ``rescore_terms``, shared by ``bidis_decode``
-      and ``select_lambda``, so a source is re-scored once.
-    - ``agreements``: (regular, reverse, source, params, measure ``id``) ->
-      (measure, ``bidia_decode``'s ``DecodeOutput``), returned as the
-      stored object.
-    - ``transport``: a WMD measure's ``id`` -> (measure, {(regular core,
-      reverse core): [problem, bound, wmd]}): the pair's
-      ``TransportProblem`` (None for a degenerate pair), its relaxed WMD and
-      its raw WMD, each of the last two None until a call needs it.  The
-      bound and the exact solve share the one problem, and each pair is
-      solved once; ``bp_t`` is applied on every call, since it depends on
-      the call's measure and candidate length.
-    - ``similarities``: a BLEU-T measure's ``id`` -> (measure, {(regular
-      core, reverse core): dissimilarity}).
-    - ``bleu``: the ``evaluation`` BLEU memo.
+    The makers are ``beam._search`` (one beam search), ``bidi._rescored``
+    (a regular search and its ``rescore_terms``, shared by ``bidis_decode``
+    and ``select_lambda``), ``bidi._agree`` (one agreement decode), and in
+    ``similarity`` a WMD pair's transport problem, raw WMD and relaxed WMD
+    and a BLEU-T pair's dissimilarity; ``bp_t`` is applied on every call,
+    since it depends on the call's measure and candidate length.  ``bleu``
+    is the ``evaluation`` BLEU memo.
 
-    A memo-free call hashes nothing, so any model decodes, and computes
-    everything afresh.  Each command builds one memo, which lives as long
-    as the command and has no size cap.
+    A caller given ``memo=None`` calls the maker directly and hashes
+    nothing, so any model decodes, and computes everything afresh.  Each
+    command builds one memo, which lives as long as the command and has no
+    size cap.
     """
 
-    searches: dict[tuple, DecodeOutput] = field(default_factory=dict)
-    rescorings: dict[tuple, tuple[DecodeOutput, list]] = field(default_factory=dict)
-    agreements: dict[tuple, tuple[SimilaritySpec, DecodeOutput]] = field(default_factory=dict)
-    transport: dict[int, tuple[SimilaritySpec, dict[tuple, list]]] = field(default_factory=dict)
-    similarities: dict[int, tuple[SimilaritySpec, dict[tuple, float]]] = field(default_factory=dict)
-    bleu: BleuMemo = field(default_factory=dict)
+    def __init__(self) -> None:
+        super().__init__()
+        self.bleu: BleuMemo = {}
+
+    def __missing__(self, key: tuple):
+        make, *args = key
+        value = self[key] = make(*args, self)
+        return value
 
 
 def length_penalty(length: int, alpha: float) -> float:
@@ -172,21 +163,17 @@ def vbs_decode(
     the same length, so this is the lexicographic token order of the
     children.  Only the kept children of the first k become Hypothesis
     objects; ``sort_events`` still records the n * V pool.  A search
-    already in ``memo.searches`` is not repeated.
+    already in ``memo`` is not repeated.
     """
     if memo is None:
-        return _search(model, source, params)
-    key = (model, tuple(source), params)
-    output = memo.searches.get(key)
-    if output is None:
-        output = memo.searches[key] = _search(model, source, params)
-    return output
+        return _search(model, source, params, None)
+    return memo[_search, model, tuple(source), params]
 
 
 def _search(
-    model: LanguageModel, source: Sequence[int], params: SearchParams
+    model: LanguageModel, source: Sequence[int], params: SearchParams, memo: Memo | None
 ) -> DecodeOutput:
-    """One beam search without the memo; see ``vbs_decode``."""
+    """One beam search; see ``vbs_decode``."""
     v = model.vocab.size
     if v < 2:
         raise ParameterError("cannot decode with a vocabulary of fewer than 2 tokens")

@@ -110,18 +110,9 @@ def _rescored(
     search: SearchParams,
     memo: Memo | None,
 ) -> tuple[DecodeOutput, list[tuple[float, float]]]:
-    """The regular search of ``source`` and its ``rescore_terms``, made once
-    per ``memo.rescorings`` key (see ``beam.Memo``)."""
-    if memo is None:
-        base = vbs_decode(regular, source, search)
-        return base, rescore_terms(base.beam, reverse, source, search.alpha)
-    key = (regular, reverse, tuple(source), search)
-    held = memo.rescorings.get(key)
-    if held is None:
-        base = vbs_decode(regular, source, search, memo)
-        terms = rescore_terms(base.beam, reverse, source, search.alpha)
-        held = memo.rescorings[key] = (base, terms)
-    return held
+    """The regular search of ``source`` and its ``rescore_terms``."""
+    base = vbs_decode(regular, source, search, memo)
+    return base, rescore_terms(base.beam, reverse, source, search.alpha)
 
 
 def bidis_decode(
@@ -135,10 +126,11 @@ def bidis_decode(
 
     ``selected_index`` reports the winning candidate's original rank in the
     regular beam, which is what rank analysis histograms.  A search and
-    re-scoring already in ``memo.rescorings`` is not repeated.
+    re-scoring already in ``memo`` is not repeated.
     """
     _check_directions(regular, reverse)
-    base, terms = _rescored(regular, reverse, source, params.search, memo)
+    base, terms = (_rescored(regular, reverse, source, params.search, None) if memo is None
+                   else memo[_rescored, regular, reverse, tuple(source), params.search])
     order = rank_by_combined_score(base.beam, terms, params.reverse_weight)
     report = ComplexityReport(algorithm="bidis")
     report.merge_search(base.report)
@@ -180,7 +172,9 @@ def select_lambda(
     grid = sorted(grid)
     if not validation:
         return grid[0], []
-    bases = [(pair, *_rescored(regular, reverse, pair.source, search, memo)) for pair in validation]
+    bases = [(pair, *(_rescored(regular, reverse, pair.source, search, None) if memo is None
+                      else memo[_rescored, regular, reverse, tuple(pair.source), search]))
+             for pair in validation]
     bleu = {} if memo is None else memo.bleu
     curve = []
     for lam in grid:
@@ -250,19 +244,14 @@ def bidia_decode(
     reverse-side hypotheses and outputs the regular-side member of the
     cross-beam pair of least dissimilarity.  Ties prefer the higher regular
     normalized score, then the lower regular index, then the lower reverse
-    index.  A decode already in ``memo.agreements`` is not repeated.
+    index.  A decode already in ``memo`` is not repeated.
     """
     _check_directions(regular, reverse)
     if params.beam_size % 2 != 0 or params.beam_size < 2:
         raise ParameterError("agreement decoding needs an even beam size >= 2")
     if memo is None:
         return _agree(regular, reverse, source, params, measure, None)
-    key = (regular, reverse, tuple(source), params, id(measure))
-    held = memo.agreements.get(key)
-    if held is None:
-        output = _agree(regular, reverse, source, params, measure, memo)
-        held = memo.agreements[key] = (measure, output)
-    return held[1]
+    return memo[_agree, regular, reverse, tuple(source), params, measure]
 
 
 def _agree(
@@ -273,7 +262,7 @@ def _agree(
     measure: SimilaritySpec,
     memo: Memo | None,
 ) -> DecodeOutput:
-    """One agreement decode without the ``agreements`` memo; see ``bidia_decode``."""
+    """One agreement decode; see ``bidia_decode``."""
     half = SearchParams(params.beam_size // 2, params.max_length, params.alpha)
     run_regular = vbs_decode(regular, source, half, memo)
     run_reverse = vbs_decode(reverse, source, half, memo)

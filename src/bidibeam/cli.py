@@ -304,7 +304,7 @@ def _build_measure(cfg: RunConfig, vocab: Vocabulary, kind: str) -> SimilaritySp
     if kind == BLEU_T:
         return SimilaritySpec(kind=BLEU_T, max_length=cfg.max_length, bp_mode=cfg.bp_mode)
     if cfg.embeddings is None:
-        raise ConfigError("bidia-wmd requires --embeddings")
+        raise ConfigError(f"bidia-wmd requires {_named('embeddings')}")
     try:
         stopwords = load_stopwords(cfg.stopwords) if cfg.stopwords else default_stopwords()
         embeddings = load_embeddings(cfg.embeddings)
@@ -330,15 +330,15 @@ def _load_grid(
     validation and test splits, each encoded once for every cell, and the
     similarity measure of each agreement algorithm, built once for every
     beam size.  ``sizes_option`` names the option that set ``beam_sizes``,
-    for the message when one exceeds ``STEP_FLOATS``.  An empty test split
-    stops the command here, before any weight selection or output file."""
+    for the message when one is odd under agreement or exceeds
+    ``STEP_FLOATS``.  An empty test split stops the command here, before
+    any weight selection or output file."""
     _require(cfg, "corpus", "out")
     if any(a in _MEASURE_KINDS for a in algorithms):
         for nb in beam_sizes:
             if nb % 2 != 0:
-                raise ConfigError(
-                    f"beam size {nb} must be even: agreement decoding needs an even beam size"
-                )
+                raise ConfigError(f"{_named(sizes_option)}: beam size {nb} must be even: "
+                                  "agreement decoding needs an even beam size")
     models = _load_models(cfg)
     v = models[0].size
     for nb in beam_sizes:

@@ -37,9 +37,9 @@ BP_DIVIDE = "divide"
 BP_MULTIPLY = "multiply"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilaritySpec:
-    """Configuration of one similarity measure.
+    """Configuration of one similarity measure; it hashes by identity.
 
     ``embeddings``, ``stopwords`` and ``vocab`` are only consulted by the
     WMD measure; ``vocab`` maps token ids to words before embedding lookup.
@@ -361,39 +361,38 @@ def _as_words(tokens: Sequence, spec: SimilaritySpec) -> list[str]:
 
 
 def _scale_by_brevity(cost: float, candidate_length: int, spec: SimilaritySpec) -> float:
+    # Every penalty of a WMD measure is positive, so a degenerate pair's
+    # +inf stays +inf.
     penalty = bp_t(candidate_length, spec.max_length)
     return cost / penalty if spec.bp_mode == BP_DIVIDE else cost * penalty
 
 
-def _memoised(table: dict | None, y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, make):
-    """``make(y_n, y_r, spec)``, or with a memo ``table`` keyed by measure
-    ``id`` (see ``beam.Memo``) the value it holds for the pair, made at the
-    pair's first call."""
-    if table is None:
-        return make(y_n, y_r, spec)
-    held = table.get(id(spec))
-    if held is None:
-        held = table[id(spec)] = (spec, {})
-    key = (tuple(y_n), tuple(y_r))
-    value = held[1].get(key)
-    if value is None:
-        value = held[1][key] = make(y_n, y_r, spec)
-    return value
-
-
-def _pair_entry(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec) -> list:
-    """The WMD pair's ``[problem, bound, wmd]``: its ``TransportProblem``
-    (None when the pair is degenerate), then its relaxed and raw WMD, each
-    None until needed."""
+def _problem(
+    y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None
+) -> Optional[TransportProblem]:
+    """The WMD pair's ``TransportProblem``; None when the pair is degenerate."""
     try:
-        problem = _transport_problem(_as_words(y_n, spec), _as_words(y_r, spec),
-                                     spec.embeddings, spec.stopwords)
+        return _transport_problem(_as_words(y_n, spec), _as_words(y_r, spec),
+                                  spec.embeddings, spec.stopwords)
     except DegeneratePairError:
-        problem = None
-    return [problem, None, None]
+        return None
 
 
-def _bleu_dissimilarity(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec) -> float:
+def _raw_wmd(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None) -> float:
+    """The WMD pair's exact distance before ``bp_t``; +inf when degenerate."""
+    problem = _problem(y_n, y_r, spec, None) if memo is None else memo[_problem, y_n, y_r, spec]
+    return math.inf if problem is None else solve_transport(problem)[1]
+
+
+def _raw_bound(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None) -> float:
+    """The WMD pair's relaxed distance before ``bp_t``; +inf when degenerate."""
+    problem = _problem(y_n, y_r, spec, None) if memo is None else memo[_problem, y_n, y_r, spec]
+    return math.inf if problem is None else _relaxed_wmd(problem)
+
+
+def _bleu_dissimilarity(
+    y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None
+) -> float:
     return 1.0 - bleu_t(y_n, y_r, spec)
 
 
@@ -413,15 +412,10 @@ def dissimilarity(
     if not y_n or not y_r:
         return math.inf
     if spec.kind == BLEU_T:
-        return _memoised(None if memo is None else memo.similarities, y_n, y_r, spec,
-                         _bleu_dissimilarity)
-    entry = _memoised(None if memo is None else memo.transport, y_n, y_r, spec, _pair_entry)
-    problem, _, cost = entry
-    if problem is None:
-        return math.inf
-    if cost is None:
-        _, cost = solve_transport(problem)
-        entry[2] = cost
+        return (_bleu_dissimilarity(y_n, y_r, spec, None) if memo is None
+                else memo[_bleu_dissimilarity, tuple(y_n), tuple(y_r), spec])
+    cost = (_raw_wmd(y_n, y_r, spec, None) if memo is None
+            else memo[_raw_wmd, tuple(y_n), tuple(y_r), spec])
     return _scale_by_brevity(cost, len(y_n), spec)
 
 
@@ -442,10 +436,6 @@ def dissimilarity_lower_bound(
         return math.inf
     if spec.kind == BLEU_T:
         return 0.0
-    entry = _memoised(None if memo is None else memo.transport, y_n, y_r, spec, _pair_entry)
-    problem, bound, _ = entry
-    if problem is None:
-        return math.inf
-    if bound is None:
-        bound = entry[1] = _relaxed_wmd(problem)
+    bound = (_raw_bound(y_n, y_r, spec, None) if memo is None
+             else memo[_raw_bound, tuple(y_n), tuple(y_r), spec])
     return _scale_by_brevity(bound, len(y_n), spec)

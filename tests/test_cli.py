@@ -396,12 +396,14 @@ class TestDecode:
 
     def test_bidia_wmd_needs_embeddings(self, workspace, trained, capsys):
         assert decode_into(workspace, trained, "--algorithm", "bidia-wmd") == 1
-        assert "requires --embeddings" in capsys.readouterr().err
+        assert "requires --embeddings (config key embeddings)" in capsys.readouterr().err
 
     def test_bidia_needs_even_beam(self, workspace, trained, capsys):
         code = decode_into(workspace, trained, "--algorithm", "bidia-bleu", "--B", "3")
         assert code == 1
-        assert "even beam size" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "even beam size" in err
+        assert "error: --B (config key B): beam size 3 must be even" in err
 
     def test_bidia_wmd_decodes_with_embeddings(self, workspace, trained):
         code = decode_into(
@@ -760,7 +762,8 @@ class TestSweep:
             ]
         )
         assert code == 1
-        assert "must be even" in capsys.readouterr().err
+        assert ("error: --nb-list (config key nb_list): beam size 3 must be even"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["sweep", "decode"])
     def test_empty_test_split_stops_before_any_decoding(
@@ -922,7 +925,7 @@ class TestSearchMemo:
         assert main([command, *flags, *extra]) == 0
         assert len(built) == 1
         assert built[0].bleu
-        assert bool(built[0].searches) == (command != "analyze")
+        assert any(key[0] is beam._search for key in built[0]) == (command != "analyze")
 
     def test_sweep_runs_each_distinct_search_once(self, workspace, tmp_path, monkeypatch):
         out = tmp_path / "run"

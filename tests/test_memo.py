@@ -4,14 +4,16 @@ of memo-free ones."""
 import dataclasses
 import itertools
 import math
+import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidibeam import bidi, similarity
-from bidibeam.beam import Memo, SearchParams, vbs_decode
+from bidibeam.beam import Memo, SearchParams, _search, vbs_decode
 from bidibeam.bidi import BidiSParams, bidia_decode, bidis_decode, select_lambda
 from bidibeam.corpus import SentencePair
 from bidibeam.errors import ParameterError
@@ -19,6 +21,7 @@ from bidibeam.lm import REGULAR, REVERSE, reverse_sequence_logprob
 from bidibeam.similarity import (
     BLEU_T,
     WMD_T,
+    EmbeddingTable,
     SimilaritySpec,
     dissimilarity,
     dissimilarity_lower_bound,
@@ -43,6 +46,11 @@ def assert_same_output(memo, fresh):
     assert memo.agreement == fresh.agreement
 
 
+def made_by(memo, make):
+    """The argument tuples of the memo's entries made by ``make``."""
+    return {key[1:] for key in memo if key[0] is make}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_shared_memo_matches_memo_free_decodes(data):
@@ -55,8 +63,9 @@ def test_shared_memo_matches_memo_free_decodes(data):
     Each (measure, core pair) whose raw WMD a memo call needed was solved
     exactly once.  A bidia call repeating an earlier one's source, params
     and measure computes no dissimilarity, bound or solve, and every other
-    bidia call does; a memo keyed by a reused ``id`` would let the rebuilt
-    measure hit the dropped one's entries.
+    bidia call does; a memo whose keys did not hold their measure could
+    see a rebuilt measure reuse the dropped one's address and hit its
+    entries.
     """
     kind = data.draw(st.sampled_from(sorted(MODELS)))
     seed = data.draw(st.integers(0, 10 ** 6))
@@ -70,9 +79,10 @@ def test_shared_memo_matches_memo_free_decodes(data):
                  data.draw(covering_wmd_measures(vocab)), data.draw(covering_wmd_measures(vocab))]
     # Slot 0 is BLEU; slots 1 and 2 hold copies made here, so this test holds
     # their only reference and dropping one frees it unless the memo holds it.
+    # Labels are weak, so they keep no measure alive.
     slots = [SimilaritySpec(BLEU_T, max_length=t),
              dataclasses.replace(templates[0]), dataclasses.replace(templates[1])]
-    labels = {id(measure): n for n, measure in enumerate(slots)}
+    labels = weakref.WeakKeyDictionary({measure: n for n, measure in enumerate(slots)})
     fresh_labels = itertools.count(len(slots))
     call = st.tuples(st.sampled_from(("vbs", "bidis", "bidia", "bidia", "rebuild")),
                      st.sampled_from((half, 2 * half)), st.sampled_from(SOURCES),
@@ -94,7 +104,7 @@ def test_shared_memo_matches_memo_free_decodes(data):
 
     def counted_dissimilarity(y_n, y_r, spec, memo=None):
         scanned[0] += memo is not None
-        pending.append(((labels[id(spec)], tuple(y_n), tuple(y_r)), memo is not None))
+        pending.append(((labels[spec], tuple(y_n), tuple(y_r)), memo is not None))
         try:
             d = dissimilarity(y_n, y_r, spec, memo)
         finally:
@@ -121,10 +131,9 @@ def test_shared_memo_matches_memo_free_decodes(data):
         for algorithm, b, source, slot, weight in calls:
             if algorithm == "rebuild":
                 slot = slot or 1  # a WMD slot
-                del labels[id(slots[slot])]
                 slots[slot] = None
                 slots[slot] = dataclasses.replace(templates[2])
-                labels[id(slots[slot])] = next(fresh_labels)
+                labels[slots[slot]] = next(fresh_labels)
                 continue
             if algorithm == "bidia":
                 b = 2 * half
@@ -144,18 +153,79 @@ def test_shared_memo_matches_memo_free_decodes(data):
             before = scanned[0]
             assert_same_output(run(memo), run(None))
             if algorithm == "bidia":
-                agreement = (source, labels[id(measure)])
+                agreement = (source, labels[measure])
                 assert (scanned[0] == before) == (agreement in agreements)
                 agreements.add(agreement)
             run = measure = None  # a dropped measure is then referenced by the memo alone
-    assert set(memo.searches) == expected_keys
-    assert set(memo.rescorings) == expected_rescorings
-    assert len(memo.agreements) == len(agreements)
-    assert all(key[-1] == id(held[0]) for key, held in memo.agreements.items())
-    assert len(memo.transport) == len(wmd_labels)
-    assert all(key == id(held[0]) for key, held in memo.transport.items())
+    assert made_by(memo, _search) == expected_keys
+    assert made_by(memo, bidi._rescored) == expected_rescorings
+    assert {(args[2], labels[args[-1]]) for args in made_by(memo, bidi._agree)} == agreements
+    assert {labels[args[-1]] for args in made_by(memo, similarity._problem)} == wmd_labels
     assert set(solved) == needed
     assert set(solved.values()) <= {1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_each_stored_value_is_made_once(data):
+    """``dissimilarity`` and its lower bound, each called twice per pair in
+    shuffled order over one memo, with WMD and BLEU-T measures and pairs that
+    include degenerate ones (an empty side, or nothing left after filtering):
+    every memo maker runs once per key, so each (measure, pair)'s transport
+    problem is built once, a degenerate pair's None included, each pair
+    with a problem is solved once, each BLEU-T pair is scored once, and
+    every value equals its memo-free value.  A get-or-make that took a
+    stored None or +inf for a miss would make it again."""
+    vocab = dummy_vocab(data.draw(st.integers(5, 7)))
+    measures = [data.draw(wmd_measures(vocab)), data.draw(covering_wmd_measures(vocab)),
+                SimilaritySpec(BLEU_T, max_length=data.draw(st.integers(1, 6)))]
+    core = st.lists(st.integers(0, vocab.size - 1), max_size=3).map(tuple)
+    pairs = list(dict.fromkeys(data.draw(st.lists(st.tuples(core, core), min_size=1, max_size=8))))
+    expected = {(score, y_n, y_r, measure): score(y_n, y_r, measure)
+                for score in (dissimilarity, dissimilarity_lower_bound)
+                for y_n, y_r in pairs for measure in measures}
+    made, built, scored, solves = Counter(), Counter(), Counter(), [0]
+
+    def counted_make(make):
+        def counted(y_n, y_r, spec, memo):
+            made[(make, y_n, y_r, spec)] += 1
+            return make(y_n, y_r, spec, memo)
+        return counted
+
+    def counted_problem(x, y, table, stopwords):
+        built[(table, tuple(x), tuple(y))] += 1
+        return transport_problem(x, y, table, stopwords)
+
+    def counted_bleu_t(hypothesis, reference, spec):
+        scored[(tuple(hypothesis), tuple(reference), spec)] += 1
+        return bleu_t(hypothesis, reference, spec)
+
+    def counted_solve(problem):
+        solves[0] += 1
+        return solve_transport(problem)
+
+    transport_problem, bleu_t = similarity._transport_problem, similarity.bleu_t
+    memo = Memo()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_problem", "_raw_wmd", "_raw_bound", "_bleu_dissimilarity"):
+            patch.setattr(similarity, name, counted_make(getattr(similarity, name)))
+        patch.setattr(similarity, "_transport_problem", counted_problem)
+        patch.setattr(similarity, "bleu_t", counted_bleu_t)
+        patch.setattr(similarity, "solve_transport", counted_solve)
+        for _ in range(2):
+            for call in data.draw(st.permutations(list(expected))):
+                score, y_n, y_r, measure = call
+                assert score(y_n, y_r, measure, memo) == expected[call]
+    wmd, bleu = measures[:2], measures[2]
+    compared = [(y_n, y_r) for y_n, y_r in pairs if y_n and y_r]
+    assert set(made.values()) <= {1}
+    assert set(built.values()) <= {1}
+    assert set(built) == {(measure.embeddings, tuple(vocab.decode(y_n)), tuple(vocab.decode(y_r)))
+                          for measure in wmd for y_n, y_r in compared}
+    assert solves[0] == sum(expected[dissimilarity, y_n, y_r, measure] < math.inf
+                            for measure in wmd for y_n, y_r in compared)
+    assert set(scored.values()) <= {1}
+    assert set(scored) == {(y_n, y_r, bleu) for y_n, y_r in compared}
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,7 +254,7 @@ def test_select_lambda_matches_per_weight_bleu(seed, b, t, data):
     memo = Memo()
     assert select_lambda(regular, reverse, validation, search, grid) == expected
     assert select_lambda(regular, reverse, validation, search, grid, memo) == expected
-    assert set(memo.searches) == {(regular, pair.source, search) for pair in validation}
+    assert made_by(memo, _search) == {(regular, pair.source, search) for pair in validation}
     assert set(memo.bleu) == {pair.target for pair in validation}
 
 
@@ -222,7 +292,8 @@ def test_select_lambda_then_bidis_rescore_each_member_once(seed, b, t, data):
     assert set(scored.values()) == {1}
     assert set(scored) == {(reverse, source, h.core())
                            for source in distinct for h in vbs_decode(regular, source, search).beam}
-    assert set(memo.rescorings) == {(regular, reverse, source, search) for source in distinct}
+    assert made_by(memo, bidi._rescored) == {(regular, reverse, source, search)
+                                              for source in distinct}
 
 
 class UnhashableLM(RandomTableLM):
@@ -232,9 +303,15 @@ class UnhashableLM(RandomTableLM):
 
 
 def test_memo_free_calls_decode_an_unhashable_model():
-    """Without a memo nothing is hashed, so any model decodes."""
+    """Without a memo nothing is hashed, so any model decodes: vbs, bidis,
+    bidia under both measure kinds, and the λ selection."""
     vocab = dummy_vocab(6)
     search = SearchParams(3, 4)
+    table = EmbeddingTable({vocab.surface_for(i): np.array([float(i), 1.0])
+                            for i in range(vocab.size)})
+    measures = (SimilaritySpec(BLEU_T, max_length=4),
+                SimilaritySpec(WMD_T, max_length=4, embeddings=table, vocab=vocab))
+    rescoring, agreement = BidiSParams(search, 0.5), SearchParams(4, 4)
     validation = [SentencePair(source, (4, 5)) for source in SOURCES]
     models = [(cls(vocab, 1, direction=REGULAR), cls(vocab, 2, direction=REVERSE))
               for cls in (UnhashableLM, RandomTableLM)]
@@ -244,6 +321,12 @@ def test_memo_free_calls_decode_an_unhashable_model():
     for source in SOURCES:
         assert_same_output(vbs_decode(regular, source, search),
                            vbs_decode(hashable_regular, source, search))
+        assert_same_output(bidis_decode(regular, reverse, source, rescoring),
+                           bidis_decode(hashable_regular, hashable_reverse, source, rescoring))
+        for measure in measures:
+            assert_same_output(
+                bidia_decode(regular, reverse, source, agreement, measure),
+                bidia_decode(hashable_regular, hashable_reverse, source, agreement, measure))
     assert (select_lambda(regular, reverse, validation, search, [0.0, 1.0])
             == select_lambda(hashable_regular, hashable_reverse, validation, search, [0.0, 1.0]))
 

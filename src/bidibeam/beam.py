@@ -27,7 +27,6 @@ from .lm import LanguageModel
 
 if TYPE_CHECKING:
     from .bidi import AgreementPair
-    from .evaluation import BleuMemo
 
 
 @dataclass(frozen=True)
@@ -97,19 +96,18 @@ class Memo(dict):
     (a regular search and its ``rescore_terms``, shared by ``bidis_decode``
     and ``select_lambda``), ``bidi._agree`` (one agreement decode), and in
     ``similarity`` a WMD pair's transport problem, raw WMD and relaxed WMD
-    and a BLEU-T pair's dissimilarity; ``bp_t`` is applied on every call,
-    since it depends on the call's measure and candidate length.  ``bleu``
-    is the ``evaluation`` BLEU memo.
+    and a BLEU-T pair's dissimilarity (``bp_t`` is applied on every call,
+    since it depends on the call's measure and candidate length), and in
+    ``evaluation`` a reference's n-grams, a (candidate, reference) pair's
+    clipped counts and its sentence BLEU-4.
 
-    A caller given ``memo=None`` calls the maker directly and hashes
-    nothing, so any model decodes, and computes everything afresh.  Each
+    A decoder or similarity given ``memo=None`` calls the maker directly
+    and hashes nothing, so any model decodes, and computes everything
+    afresh; a BLEU scorer given none uses a fresh memo, since its keys are
+    token tuples.  A plain dict is no memo: it has no ``__missing__``.  Each
     command builds one memo, which lives as long as the command and has no
     size cap.
     """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.bleu: BleuMemo = {}
 
     def __missing__(self, key: tuple):
         make, *args = key

@@ -161,9 +161,8 @@ def select_lambda(
     to the smallest grid value with an empty curve.  Each validation
     source is searched and re-scored as ``bidis_decode`` does it, so with a
     memo a source that is also decoded is re-scored once.  Every weight's
-    selections are scored by ``corpus_bleu4`` over one BLEU memo,
-    ``memo.bleu`` or a fresh one, so a pair some weights share is counted
-    once.
+    selections are scored by ``corpus_bleu4`` over one ``Memo``, ``memo``
+    or a fresh one, so a pair some weights share is counted once.
     """
     if not grid:
         raise ParameterError("the reverse-weight grid must not be empty")
@@ -175,7 +174,7 @@ def select_lambda(
     bases = [(pair, *(_rescored(regular, reverse, pair.source, search, None) if memo is None
                       else memo[_rescored, regular, reverse, tuple(pair.source), search]))
              for pair in validation]
-    bleu = {} if memo is None else memo.bleu
+    bleu = Memo() if memo is None else memo
     curve = []
     for lam in grid:
         selections = [

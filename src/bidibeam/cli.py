@@ -194,12 +194,14 @@ def _named(name: str) -> str:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read a flat key=value config file; # starts a comment line."""
+    """Read a flat key=value config file; # starts a comment line, and a
+    key set on two lines is an error naming both."""
     values: dict[str, str] = {}
     try:
         text = read_user_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    set_on: dict[str, int] = {}  # the line each key was set on
     for lineno, line in numbered_lines(text):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -207,7 +209,11 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{path}: line {lineno}: expected key=value")
         key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in set_on:
+            raise ConfigError(f"{path}: line {lineno}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
+        values[key] = value.strip()
     return values
 
 
@@ -417,7 +423,7 @@ def _evaluate(
     pairs: Sequence[SentencePair], outputs: Sequence[DecodeOutput], memo: Memo
 ) -> tuple[float, float, float]:
     candidates = [output.selected.core() for output in outputs]
-    bleu = corpus_bleu4([(c, p.target) for c, p in zip(candidates, pairs)], memo.bleu)
+    bleu = corpus_bleu4([(c, p.target) for c, p in zip(candidates, pairs)], memo)
     return bleu, distinct_n(candidates, 1), distinct_n(candidates, 2)
 
 
@@ -540,9 +546,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_beam_records(path: Path, ids: frozenset) -> list[SimpleNamespace]:
-    """Read a persisted beam file, checking each record as it is read;
-    ``ids`` holds the vocabulary's ids."""
+def _load_beam_records(path: Path, algorithm: str, ids: frozenset) -> list[SimpleNamespace]:
+    """Read a persisted beam file of ``algorithm``'s cell, checking each
+    record as it is read; ``ids`` holds the vocabulary's ids."""
     records = []
     for lineno, line in numbered_lines(read_user_text(path, ConfigError)):
         if not line:
@@ -551,7 +557,7 @@ def _load_beam_records(path: Path, ids: frozenset) -> list[SimpleNamespace]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {lineno}: bad JSON ({exc.msg})") from None
-        records.append(_beam_record(record, ids, f"{path}: line {lineno}"))
+        records.append(_beam_record(record, algorithm, ids, f"{path}: line {lineno}"))
     if not records:
         raise ConfigError(f"{path}: holds no beam records")
     return records
@@ -569,15 +575,16 @@ def _bad_key(where: str, key: str, kind: str) -> ConfigError:
     return ConfigError(f"{where}: key {key!r} must be {kind}")
 
 
-def _beam_record(record: object, ids: frozenset, where: str) -> SimpleNamespace:
+def _beam_record(record: object, algorithm: str, ids: frozenset, where: str) -> SimpleNamespace:
     """The fields analyze reads from one persisted record, type- and range-checked.
 
-    A token is valid when it equals one of ``ids``, the vocabulary's ids.
+    The record's algorithm must be ``algorithm``, its file's.  A token is
+    valid when it equals one of ``ids``, the vocabulary's ids.
     """
     if type(record) is not dict:
         raise ConfigError(f"{where}: expected a JSON object")
-    if type(record.get("algorithm")) is not str:
-        raise _bad_key(where, "algorithm", "a string")
+    if record.get("algorithm") != algorithm:
+        raise _bad_key(where, "algorithm", f"{algorithm!r}, the algorithm of its file name")
     reference = record.get("reference")
     if not (reference and _id_list(reference, ids)):
         raise _bad_key(where, "reference", "a non-empty list of vocabulary ids")
@@ -605,7 +612,6 @@ def _beam_record(record: object, ids: frozenset, where: str) -> SimpleNamespace:
     if not (type(index) is int and 1 <= index <= len(beam)):
         raise _bad_key(where, "selected_index", "an integer in 1..len(beam)")
     return SimpleNamespace(
-        algorithm=record["algorithm"],
         reference=tuple(reference),
         selected_index=index,
         beam=tuple(hypotheses),
@@ -629,7 +635,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
     cells = []
     for path in beam_files:
         match = _BEAMS_FILE_RE.match(path.name)
-        cells.append((match.group("alg"), int(match.group("nb")), _load_beam_records(path, ids)))
+        algorithm = match.group("alg")
+        cells.append((algorithm, int(match.group("nb")), _load_beam_records(path, algorithm, ids)))
     cells.sort(key=lambda cell: (cell[0], cell[1]))
 
     with open(out / "rank_histogram.csv", "w", encoding="utf-8", newline="") as handle:
@@ -652,17 +659,17 @@ def cmd_analyze(cfg: RunConfig) -> int:
             for record in records:
                 beam, reference = record.beam, record.reference
                 selected = beam[0]
-                if record.algorithm.startswith("bidia"):
+                if algorithm.startswith("bidia"):
                     selected = beam[record.selected_index - 1]
-                best, _ = best_hypothesis(beam, reference, memo.bleu)
+                best, _ = best_hypothesis(beam, reference, memo)
                 algo_pairs.append((selected.core(), reference))
                 oracle_pairs.append((best.core(), reference))
             writer.writerow(
                 (
                     algorithm,
                     nb,
-                    f"{corpus_bleu4(algo_pairs, memo.bleu):.6f}",
-                    f"{corpus_bleu4(oracle_pairs, memo.bleu):.6f}",
+                    f"{corpus_bleu4(algo_pairs, memo):.6f}",
+                    f"{corpus_bleu4(oracle_pairs, memo):.6f}",
                 )
             )
 

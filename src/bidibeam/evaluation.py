@@ -7,45 +7,39 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .beam import DecodeOutput, Hypothesis
+from .beam import DecodeOutput, Hypothesis, Memo
 from .corpus import SentencePair, Vocabulary
 from .errors import ParameterError
 from .similarity import BLEU_ORDER, bleu4_from_counts, bp_t, clip_counts, geometric_mean, ngram_table
 
-# A BLEU memo maps a reference (a token tuple) to one entry of three parts:
-# the reference's ``ngram_table``; the clipped n-gram matches and candidate
-# n-gram totals of each candidate counted against it; and the sentence
-# BLEU-4 of each candidate that ``best_hypothesis`` has scored against it.
-# Every part is a pure function of its keys, so one memo can be shared by
-# any number of calls; a call given none uses a fresh one.
-BleuEntry = tuple[Counter, dict[tuple, tuple[list[int], list[int]]], dict[tuple, float]]
-BleuMemo = dict[tuple, BleuEntry]
+# The BLEU makers of a ``beam.Memo``, keyed by EOS-stripped token tuples:
+# each reference's n-grams, each pair's clipped counts and each pair's
+# sentence BLEU-4 are made once per memo.
 
 
-def _entry(reference: tuple, memo: BleuMemo) -> BleuEntry:
-    """The memo entry of ``reference``; its n-grams are counted once per memo."""
-    entry = memo.get(reference)
-    if entry is None:
-        entry = memo[reference] = (ngram_table(reference), {}, {})
-    return entry
+def _ngrams(reference: tuple, memo: Memo) -> Counter:
+    """The ``ngram_table`` of a reference."""
+    return ngram_table(reference)
 
 
-def _counts(candidate: tuple, entry: BleuEntry) -> tuple[list[int], list[int]]:
-    """The clipped counts of ``candidate`` against the entry's reference,
-    counted on a miss."""
-    table, by_candidate, _ = entry
-    counts = by_candidate.get(candidate)
-    if counts is None:
-        counts = by_candidate[candidate] = clip_counts(ngram_table(candidate), len(candidate), table)
-    return counts
+def _clipped(candidate: tuple, reference: tuple, memo: Memo) -> tuple[list[int], list[int]]:
+    """The clipped n-gram matches and candidate n-gram totals of
+    ``candidate`` against ``reference``."""
+    return clip_counts(ngram_table(candidate), len(candidate), memo[_ngrams, reference])
+
+
+def _sentence_bleu4(candidate: tuple, reference: tuple, memo: Memo) -> float:
+    """The sentence BLEU-4 of ``candidate`` against ``reference``."""
+    return bleu4_from_counts(len(candidate), len(reference), *memo[_clipped, candidate, reference])
 
 
 def corpus_bleu4(
-    pairs: Sequence[tuple[Sequence, Sequence]], memo: BleuMemo | None = None
+    pairs: Sequence[tuple[Sequence, Sequence]], memo: Memo | None = None
 ) -> float:
     """Micro-averaged corpus BLEU-4 on the 0..100 scale over (candidate,
-    reference) pairs, both EOS-stripped; each distinct pair is counted once
-    per ``memo``.
+    reference) pairs, both EOS-stripped; each distinct pair's clipped
+    counts are made once per ``memo``, a ``beam.Memo`` (a fresh one if
+    None; a plain dict has no ``__missing__`` and does not work).
 
     An order with hypothesis n-grams but zero matches drops the score to 0;
     an order with no hypothesis n-grams anywhere in the corpus is vacuous
@@ -55,12 +49,12 @@ def corpus_bleu4(
     if not pairs:
         raise ParameterError("corpus BLEU needs at least one pair")
     if memo is None:
-        memo = {}
+        memo = Memo()
     matches = [0] * BLEU_ORDER
     totals = [0] * BLEU_ORDER
     candidate_length = reference_length = 0
     for candidate, reference in pairs:
-        pair_matches, pair_totals = _counts(tuple(candidate), _entry(tuple(reference), memo))
+        pair_matches, pair_totals = memo[_clipped, tuple(candidate), tuple(reference)]
         for n in range(BLEU_ORDER):
             matches[n] += pair_matches[n]
             totals[n] += pair_totals[n]
@@ -97,37 +91,31 @@ def sentence_bleu4(candidate: Sequence, reference: Sequence) -> float:
     """Sentence BLEU-4 with add-1 smoothing and the standard brevity penalty."""
     if not reference:
         raise ParameterError("reference must be non-empty")
-    counts = _counts(tuple(candidate), _entry(tuple(reference), {}))
-    return bleu4_from_counts(len(candidate), len(reference), *counts)
+    return _sentence_bleu4(tuple(candidate), tuple(reference), Memo())
 
 
 def best_hypothesis(
-    beam: Sequence[Hypothesis], reference: Sequence[int], memo: BleuMemo | None = None
+    beam: Sequence[Hypothesis], reference: Sequence[int], memo: Memo | None = None
 ) -> tuple[Hypothesis, int]:
     """The beam element with the highest sentence BLEU-4, plus its 1-based rank.
 
     This is the ideal re-ranking oracle: an upper bound on what any
     beam re-scoring strategy could select.  Ties keep the lowest rank.
-    The reference's entry is looked up in ``memo`` once, and each member's
-    score in that entry; a member not scored yet is scored from its
-    clipped counts and kept there.
+    Each member's score is made once per ``memo``, a ``beam.Memo`` (a
+    fresh one if None; a plain dict does not work), from the same clipped
+    counts ``corpus_bleu4`` reads.
     """
     if not beam:
         raise ParameterError("beam must be non-empty")
     if not reference:
         raise ParameterError("reference must be non-empty")
     if memo is None:
-        memo = {}
+        memo = Memo()
     reference = tuple(reference)
-    entry = _entry(reference, memo)
-    scores = entry[2]
     best_rank = 0
     best_score = -1.0
     for i, hyp in enumerate(beam):
-        core = hyp.core()
-        score = scores.get(core)
-        if score is None:
-            score = scores[core] = bleu4_from_counts(len(core), len(reference), *_counts(core, entry))
+        score = memo[_sentence_bleu4, hyp.core(), reference]
         if score > best_score:
             best_score = score
             best_rank = i

@@ -19,6 +19,11 @@ def dummy_vocab(size: int) -> Vocabulary:
     return Vocabulary(list(RESERVED) + [f"w{i}" for i in range(4, size)])
 
 
+def made_by(memo, make):
+    """The argument tuples of the memo's entries made by ``make``."""
+    return {key[1:] for key in memo if key[0] is make}
+
+
 class RandomTableLM(LanguageModel):
     """Deterministic pseudo-random next-token tables, pure in (source, prefix).
 

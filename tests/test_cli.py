@@ -27,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bidibeam
-from bidibeam import beam, bidi, cli
+from bidibeam import beam, bidi, cli, evaluation
 from bidibeam.cli import main
 from bidibeam.beam import SearchParams
 from bidibeam.corpus import EOS_ID, Vocabulary, encode_pairs, load_corpus, split_corpus
@@ -222,6 +222,29 @@ class TestConfigFile:
         config.write_bytes(b"seed = 1\rorder = 2\x0cx\n")
         assert main(["train", "--config", str(config)]) == 1
         assert f"{config}: config key order: must be an integer" in capsys.readouterr().err
+
+    def test_key_set_twice_rejected(self, workspace, trained, tmp_path, capsys):
+        """A key set on two lines exits 1 naming both lines, before any file
+        is written; the last value is not kept silently."""
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"corpus = {workspace.corpus}\n"
+            "split = 0.8,0.1,0.1\n"
+            "seed = 7\n"
+            "order = 3\n"
+            "weights = 0.1,0.2,0.7\n"
+            "k = 0.01\n"
+            "T = 8\n"
+            "B = 4\n"
+            "# a later B\n"
+            "B = 2\n"
+            f"out = {trained}\n",
+            encoding="utf-8",
+        )
+        before = set(trained.iterdir())
+        assert main(["decode", "--config", str(config)]) == 1
+        assert f"{config}: line 10: key 'B' already set on line 8" in capsys.readouterr().err
+        assert set(trained.iterdir()) == before
 
     def test_missing_config_file_rejected(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 1
@@ -533,6 +556,44 @@ class TestBeamBudget:
         assert main([*sweep, "--nb-list", "4,5"]) == 1
         assert "error: --nb-list (config key nb_list): beam size 5 " in capsys.readouterr().err
         assert not (trained / "sweep.csv").exists()
+
+
+class TestCappedBounds:
+    """The bounds on --order and on --T under a WMD measure hold in a
+    child process whose address space is capped."""
+
+    @pytest.mark.parametrize("key", ["order", "T"])
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    def test_bound_exits_1_under_a_memory_cap(self, workspace, trained, tmp_path, key, by_config):
+        """``train --order 5000`` and ``decode --algorithm bidia-wmd --T 3000``
+        exit 1 in a capped child too, naming the flag and config key, and
+        write no file."""
+        if key == "order":
+            command, out = "train", tmp_path / "fresh"
+            values = {"order": "5000", "weights": ",".join(["0"] * 4999 + ["1"])}
+            extra = []
+            message = "order 5000 exceeds the deepest training context"
+        else:
+            command, out = "decode", trained
+            values = {"T": "3000"}
+            extra = ["--algorithm", "bidia-wmd", "--embeddings", str(workspace.embeddings)]
+            message = "maximum sentence length 3000 is too large for the WMD measure"
+        if by_config:
+            config = tmp_path / "run.cfg"
+            config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+            setting = ["--config", str(config)]
+        else:
+            setting = [item for k, v in values.items() for item in (FLAG_OF[k], v)]
+        # BASE_FLAGS's values would win over the config keys.
+        flags = [item for flag, value in zip(BASE_FLAGS[::2], BASE_FLAGS[1::2])
+                 if CONFIG_KEYS[flag] not in values for item in (flag, value)]
+        before = set(trained.iterdir())
+        result = run_capped([command, "--corpus", str(workspace.corpus), *flags, *setting, *extra,
+                             "--out", str(out)], tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert f"error: {FLAG_OF[key]} (config key {key}): {message}" in result.stderr
+        assert set(trained.iterdir()) == before
+        assert not (tmp_path / "fresh").exists()
 
 
 class TestVocabularyFileFaults:
@@ -924,7 +985,7 @@ class TestSearchMemo:
         monkeypatch.setattr(cli, "Memo", counting_memo)
         assert main([command, *flags, *extra]) == 0
         assert len(built) == 1
-        assert built[0].bleu
+        assert any(key[0] is evaluation._clipped for key in built[0])
         assert any(key[0] is beam._search for key in built[0]) == (command != "analyze")
 
     def test_sweep_runs_each_distinct_search_once(self, workspace, tmp_path, monkeypatch):
@@ -1178,6 +1239,8 @@ class TestBeamFileFaults:
         (moving_eos(to_front=True), "key 'tokens'"),
         (corrupting("finished", "yes"), "key 'finished'"),
         (corrupting("logprob", "x"), "key 'logprob'"),
+        pytest.param(corrupting("algorithm", "bidia-bleu"), "key 'algorithm'",
+                     id="algorithm-mismatch"),
         (lambda record: [record], "expected a JSON object"),
     ])
     def test_analyze_names_file_line_and_key(self, workspace, trained, capsys, corrupt, problem):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bidibeam.beam import Hypothesis, SearchParams, vbs_decode
+from bidibeam.beam import Hypothesis, Memo, SearchParams, vbs_decode
 from bidibeam.corpus import EOS_ID, SentencePair, build_vocabulary, encode_pairs
 from bidibeam.errors import ParameterError
 from bidibeam.evaluation import (
     RankHistogram,
+    _ngrams,
+    _sentence_bleu4,
     best_hypothesis,
     corpus_bleu4,
     distinct_n,
@@ -21,7 +23,7 @@ from bidibeam.evaluation import (
     word_position_frequency,
 )
 
-from conftest import RandomTableLM, dummy_vocab
+from conftest import RandomTableLM, dummy_vocab, made_by
 from oracles import (
     oracle_best_hypothesis,
     oracle_corpus_bleu4,
@@ -209,7 +211,7 @@ class TestSharedBleuMemo:
     def test_one_memo_equals_memo_free_calls_and_oracles(self, cases):
         """One memo serves every call, in any order: each result equals the
         call without a memo and the oracle, exactly."""
-        memo = {}
+        memo = Memo()
         pairs = []
         for bodies, reference in cases + cases[::2]:
             beam = [Hypothesis(b + (EOS_ID,), -1.0, True) for b in bodies + bodies[::2]]
@@ -234,7 +236,7 @@ class TestSharedBleuMemo:
         one reference, each keep their own counts in one memo."""
         shared, other = (4, 5, 6, 7), (6, 5)
         first, second = (4, 5, 6, 7, 4), (7, 6, 5, 4)
-        memo = {}
+        memo = Memo()
         for candidate, reference in [(shared, first), (shared, second), (other, first),
                                      (other, second), (shared, first)]:
             pair = [(candidate, reference)]
@@ -252,14 +254,15 @@ class TestSharedBleuMemo:
         """Every sentence score that one shared memo keeps is the oracle's
         score of its own (candidate, reference) pair, so ranks follow the
         oracle's, ties included (the lowest rank wins)."""
-        memo = {}
+        memo = Memo()
         for bodies, reference in cases + cases[::-1]:
             # Repeated members tie exactly; the oracle keeps the first.
             beam = [Hypothesis(b + (EOS_ID,), -1.0, True) for b in bodies + bodies[::-1]]
             hyp, rank = best_hypothesis(beam, reference, memo)
             assert rank == oracle_best_hypothesis([h.core() for h in beam], reference)
             assert hyp is beam[rank - 1]
-            _, _, scores = memo[reference]
+            scores = {body: memo[_sentence_bleu4, body, scored]
+                      for body, scored in made_by(memo, _sentence_bleu4) if scored == reference}
             assert set(bodies) <= set(scores)
             for body, score in scores.items():
                 assert score == oracle_sentence_bleu4(body, reference)
@@ -269,18 +272,20 @@ class TestSharedBleuMemo:
 
     def test_one_candidate_keeps_a_score_per_reference(self):
         candidate, first, second = (4, 5, 6, 7), (4, 5, 6, 7, 4), (7, 6, 5, 4)
-        memo = {}
+        memo = Memo()
         beam = [Hypothesis(candidate + (EOS_ID,), -1.0, True)]
         for reference in (first, second, first):
             best_hypothesis(beam, reference, memo)
-        scores = [memo[reference][2][candidate] for reference in (first, second)]
+        assert made_by(memo, _sentence_bleu4) == {(candidate, first), (candidate, second)}
+        scores = [memo[_sentence_bleu4, candidate, reference] for reference in (first, second)]
         assert scores == [oracle_sentence_bleu4(candidate, r) for r in (first, second)]
         assert scores[0] != scores[1]
 
     def test_corpus_bleu_scores_no_sentence(self):
-        memo = {}
+        memo = Memo()
         corpus_bleu4([((4, 5), (4, 5, 6)), ((6,), (6, 7))], memo)
-        assert [scores for _, _, scores in memo.values()] == [{}, {}]
+        assert made_by(memo, _ngrams) == {((4, 5, 6),), ((6, 7),)}
+        assert not made_by(memo, _sentence_bleu4)
 
 
 def fake_run(index):

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidibeam import bidi, similarity
-from bidibeam.beam import Memo, SearchParams, _search, vbs_decode
+from bidibeam import bidi, evaluation, similarity
+from bidibeam.beam import Hypothesis, Memo, SearchParams, _search, vbs_decode
 from bidibeam.bidi import BidiSParams, bidia_decode, bidis_decode, select_lambda
 from bidibeam.corpus import SentencePair
 from bidibeam.errors import ParameterError
+from bidibeam.evaluation import best_hypothesis, corpus_bleu4
 from bidibeam.lm import REGULAR, REVERSE, reverse_sequence_logprob
 from bidibeam.similarity import (
     BLEU_T,
@@ -28,8 +29,13 @@ from bidibeam.similarity import (
     solve_transport,
 )
 
-from conftest import RandomTableLM, TieLM, covering_wmd_measures, dummy_vocab, wmd_measures
-from oracles import oracle_lambda_curve, oracle_select_lambda
+from conftest import RandomTableLM, TieLM, covering_wmd_measures, dummy_vocab, made_by, wmd_measures
+from oracles import (
+    oracle_best_hypothesis,
+    oracle_corpus_bleu4,
+    oracle_lambda_curve,
+    oracle_select_lambda,
+)
 
 MODELS = {"random": RandomTableLM, "ties": TieLM}
 SOURCES = ((4,), (5,), (4, 5))
@@ -44,11 +50,6 @@ def assert_same_output(memo, fresh):
     assert memo.report == fresh.report
     assert memo.reverse_beam == fresh.reverse_beam
     assert memo.agreement == fresh.agreement
-
-
-def made_by(memo, make):
-    """The argument tuples of the memo's entries made by ``make``."""
-    return {key[1:] for key in memo if key[0] is make}
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,14 +169,17 @@ def test_shared_memo_matches_memo_free_decodes(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_each_stored_value_is_made_once(data):
-    """``dissimilarity`` and its lower bound, each called twice per pair in
-    shuffled order over one memo, with WMD and BLEU-T measures and pairs that
-    include degenerate ones (an empty side, or nothing left after filtering):
-    every memo maker runs once per key, so each (measure, pair)'s transport
+    """``dissimilarity`` and its lower bound, with WMD and BLEU-T measures
+    and pairs that include degenerate ones (an empty side, or nothing left
+    after filtering), and ``corpus_bleu4`` and ``best_hypothesis`` over the
+    same pairs, each called twice in shuffled order over one memo: every
+    memo maker runs once per key, so each (measure, pair)'s transport
     problem is built once, a degenerate pair's None included, each pair
-    with a problem is solved once, each BLEU-T pair is scored once, and
-    every value equals its memo-free value.  A get-or-make that took a
-    stored None or +inf for a miss would make it again."""
+    with a problem is solved once, each BLEU-T pair is scored once, n-grams
+    are counted once per distinct reference and once per distinct BLEU
+    pair, and every value equals its memo-free value and its oracle's.  A
+    get-or-make that took a stored None or +inf for a miss would make it
+    again."""
     vocab = dummy_vocab(data.draw(st.integers(5, 7)))
     measures = [data.draw(wmd_measures(vocab)), data.draw(covering_wmd_measures(vocab)),
                 SimilaritySpec(BLEU_T, max_length=data.draw(st.integers(1, 6)))]
@@ -184,12 +188,24 @@ def test_each_stored_value_is_made_once(data):
     expected = {(score, y_n, y_r, measure): score(y_n, y_r, measure)
                 for score in (dissimilarity, dissimilarity_lower_bound)
                 for y_n, y_r in pairs for measure in measures}
-    made, built, scored, solves = Counter(), Counter(), Counter(), [0]
+    corpora = data.draw(st.lists(st.lists(st.sampled_from(pairs), min_size=1, max_size=4).map(tuple),
+                                 min_size=1, max_size=3))
+    for corpus in corpora:
+        expected[corpus_bleu4, corpus] = corpus_bleu4(corpus)
+        assert expected[corpus_bleu4, corpus] == oracle_corpus_bleu4(corpus)
+    # One beam of every distinct regular core against each non-empty reverse core.
+    cores = tuple(dict.fromkeys(y_n for y_n, _ in pairs))
+    beam = tuple(Hypothesis(y_n, -1.0, False) for y_n in cores)
+    references = {y_r for _, y_r in pairs if y_r}
+    for reference in references:
+        expected[best_hypothesis, beam, reference] = best_hypothesis(beam, reference)
+        assert expected[best_hypothesis, beam, reference][1] == oracle_best_hypothesis(cores, reference)
+    made, built, scored, solves, counted_ngrams = Counter(), Counter(), Counter(), [0], [0]
 
     def counted_make(make):
-        def counted(y_n, y_r, spec, memo):
-            made[(make, y_n, y_r, spec)] += 1
-            return make(y_n, y_r, spec, memo)
+        def counted(*args):
+            made[(make, *args[:-1])] += 1
+            return make(*args)
         return counted
 
     def counted_problem(x, y, table, stopwords):
@@ -204,7 +220,12 @@ def test_each_stored_value_is_made_once(data):
         solves[0] += 1
         return solve_transport(problem)
 
+    def counted_ngram_table(tokens):
+        counted_ngrams[0] += 1
+        return ngram_table(tokens)
+
     transport_problem, bleu_t = similarity._transport_problem, similarity.bleu_t
+    ngram_table = evaluation.ngram_table
     memo = Memo()
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_problem", "_raw_wmd", "_raw_bound", "_bleu_dissimilarity"):
@@ -212,10 +233,13 @@ def test_each_stored_value_is_made_once(data):
         patch.setattr(similarity, "_transport_problem", counted_problem)
         patch.setattr(similarity, "bleu_t", counted_bleu_t)
         patch.setattr(similarity, "solve_transport", counted_solve)
+        for name in ("_ngrams", "_clipped", "_sentence_bleu4"):
+            patch.setattr(evaluation, name, counted_make(getattr(evaluation, name)))
+        patch.setattr(evaluation, "ngram_table", counted_ngram_table)
         for _ in range(2):
             for call in data.draw(st.permutations(list(expected))):
-                score, y_n, y_r, measure = call
-                assert score(y_n, y_r, measure, memo) == expected[call]
+                score, *args = call
+                assert score(*args, memo) == expected[call]
     wmd, bleu = measures[:2], measures[2]
     compared = [(y_n, y_r) for y_n, y_r in pairs if y_n and y_r]
     assert set(made.values()) <= {1}
@@ -226,6 +250,11 @@ def test_each_stored_value_is_made_once(data):
                             for measure in wmd for y_n, y_r in compared)
     assert set(scored.values()) <= {1}
     assert set(scored) == {(y_n, y_r, bleu) for y_n, y_r in compared}
+    bleu_pairs = {pair for corpus in corpora for pair in corpus}
+    ranked = {(y_n, reference) for y_n in cores for reference in references}
+    assert counted_ngrams[0] == (len({reference for _, reference in bleu_pairs | ranked})
+                                 + len(bleu_pairs | ranked))
+    assert made_by(made, evaluation._sentence_bleu4) == ranked
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,7 +262,7 @@ def test_each_stored_value_is_made_once(data):
 def test_select_lambda_matches_per_weight_bleu(seed, b, t, data):
     """select_lambda picks the weight, and records the curve, that scoring
     every weight's selections from scratch gives, with or without a memo.
-    A memo ends up holding the validation searches, and BLEU entries for
+    A memo ends up holding the validation searches, and n-gram tables of
     exactly the validation references."""
     vocab = dummy_vocab(7)
     regular = RandomTableLM(vocab, seed, direction=REGULAR)
@@ -255,7 +284,7 @@ def test_select_lambda_matches_per_weight_bleu(seed, b, t, data):
     assert select_lambda(regular, reverse, validation, search, grid) == expected
     assert select_lambda(regular, reverse, validation, search, grid, memo) == expected
     assert made_by(memo, _search) == {(regular, pair.source, search) for pair in validation}
-    assert set(memo.bleu) == {pair.target for pair in validation}
+    assert made_by(memo, evaluation._ngrams) == {(pair.target,) for pair in validation}
 
 
 @settings(max_examples=40, deadline=None)

@@ -62,22 +62,29 @@ class Hypothesis:
 
 @dataclass
 class DecodeOutput:
-    """A decode result: the selected sentence plus the full final beam.
+    """A decode result: the full final beam and where the selection sits in it.
 
     ``scores`` holds the value each algorithm ordered the beam by (the
     normalized score for plain beam search, the combined bidirectional score
-    after re-ranking).  ``selected_index`` is the selected hypothesis's
-    1-based rank in the ordering of the underlying left-to-right search,
-    which is what rank analysis plots.
+    after re-ranking).  ``position`` is the selected hypothesis's 0-based
+    index in ``beam``: 0 for vbs and bidis, whose beams are ordered by the
+    score that selects, and the agreement pick's index in bidia's regular
+    beam, which keeps search order.  ``selected_index`` is the selected
+    hypothesis's 1-based rank in the ordering of the underlying
+    left-to-right search, which is what rank analysis plots.
     """
 
-    selected: Hypothesis
     beam: tuple[Hypothesis, ...]
+    position: int
     selected_index: int
     scores: tuple[float, ...]
     report: ComplexityReport
     reverse_beam: Optional[tuple[Hypothesis, ...]] = None
     agreement: Optional["AgreementPair"] = None
+
+    @property
+    def selected(self) -> Hypothesis:
+        return self.beam[self.position]
 
 
 class Memo(dict):
@@ -220,8 +227,8 @@ def _search(
         beam_set.extend(alive[: b - len(beam_set)])
     ranked = _ranked(beam_set, alpha)
     return DecodeOutput(
-        selected=ranked[0][1],
         beam=tuple(h for _, h in ranked),
+        position=0,
         selected_index=1,
         scores=tuple(s for s, _ in ranked),
         report=report,

@@ -124,7 +124,8 @@ def bidis_decode(
 ) -> DecodeOutput:
     """Decode with the regular model, then re-rank by both directions.
 
-    ``selected_index`` reports the winning candidate's original rank in the
+    The output beam is re-ranked by the combined score, so the winner sits
+    at ``position`` 0; ``selected_index`` reports its original rank in the
     regular beam, which is what rank analysis histograms.  A search and
     re-scoring already in ``memo`` is not repeated.
     """
@@ -135,11 +136,10 @@ def bidis_decode(
     report = ComplexityReport(algorithm="bidis")
     report.merge_search(base.report)
     report.rescoring_evals = len(base.beam)
-    best_index = order[0][0]
     return DecodeOutput(
-        selected=base.beam[best_index],
         beam=tuple(base.beam[i] for i, _ in order),
-        selected_index=best_index + 1,
+        position=0,
+        selected_index=order[0][0] + 1,
         scores=tuple(score for _, score in order),
         report=report,
     )
@@ -281,8 +281,8 @@ def _agree(
     report.pairwise_sim_evals = len(run_regular.beam) * len(unreversed)
     report.exact_sim_evals = exact_evals
     return DecodeOutput(
-        selected=run_regular.beam[i0],
         beam=run_regular.beam,
+        position=i0,
         selected_index=i0 + 1,
         scores=run_regular.scores,
         report=report,

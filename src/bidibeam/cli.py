@@ -19,7 +19,7 @@ import sys
 from dataclasses import Field, asdict, dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .beam import DecodeOutput, Hypothesis, Memo, SearchParams, vbs_decode
 from .bidi import BidiSParams, bidia_decode, bidis_decode, select_lambda
@@ -103,6 +103,12 @@ def _checked(parse: Callable[[str], object], ok: Callable[[object], bool], what:
     return parse_checked
 
 
+def _distinct(parse: Callable[[str], object]) -> Callable[[str], tuple]:
+    """A parser for a comma-separated list of ``parse`` values, none repeated."""
+    return _checked(_list(parse), lambda values: len(set(values)) == len(values),
+                    "distinct comma-separated values")
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -163,7 +169,7 @@ class RunConfig:
     alpha: float = _option(0.6, "length penalty exponent", _number(float, 0, 1))
     algorithm: str = _option("vbs", "decoding algorithm", choices=ALGORITHMS)
     lambda_grid: tuple[float, ...] = _option(
-        (0.0, 0.25, 0.5, 1.0, 2.0, 4.0), "candidate reverse weights", _list(_number(float, 0))
+        (0.0, 0.25, 0.5, 1.0, 2.0, 4.0), "candidate reverse weights", _distinct(_number(float, 0))
     )
     embeddings: str | None = _option(None, "word embedding text file")
     stopwords: str | None = _option(None, "stopword list, one word per line")
@@ -172,9 +178,9 @@ class RunConfig:
     )
     nb_list: tuple[int, ...] = _option(
         (2, 4, 8), f"beam sizes to sweep; each x vocabulary size at most {STEP_FLOATS}",
-        _list(_number(int, 1)),
+        _distinct(_number(int, 1)),
     )
-    algorithms: tuple[str, ...] = _option(ALGORITHMS, "algorithms to sweep", _list(str), ALGORITHMS)
+    algorithms: tuple[str, ...] = _option(ALGORITHMS, "algorithms to sweep", _distinct(str), ALGORITHMS)
     save_beams: bool = _option(False, "persist full beams for later analysis", _parse_bool)
     out: str | None = _option(None, "output directory")
 
@@ -365,30 +371,12 @@ def _load_grid(
     return models, encoded, measures
 
 
-def _selected_score(output: DecodeOutput) -> float:
-    return output.scores[output.beam.index(output.selected)]
-
-
-def _write_decodes_csv(
-    path: Path,
-    pairs: Sequence[SentencePair],
-    outputs: Sequence[DecodeOutput],
-    vocab: Vocabulary,
-) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one table: ``header``, then each of ``rows`` as it is drawn."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(DECODES_HEADER)
-        for pair, output in zip(pairs, outputs):
-            writer.writerow(
-                (
-                    " ".join(vocab.decode(pair.source)),
-                    " ".join(vocab.decode(pair.target)),
-                    " ".join(vocab.decode(output.selected.core())),
-                    output.selected_index,
-                    repr(_selected_score(output)),
-                    output.report.expansions,
-                )
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_beams_jsonl(
@@ -497,7 +485,12 @@ def _decode_cell(
         decode = lambda pair: bidia_decode(regular, reverse, pair.source, search, measure, memo)
     outputs = [decode(pair) for pair in test_pairs]
     out = Path(cfg.out)
-    _write_decodes_csv(out / decodes_name, test_pairs, outputs, vocab)
+    _write_csv(out / decodes_name, DECODES_HEADER, (
+        (" ".join(vocab.decode(pair.source)), " ".join(vocab.decode(pair.target)),
+         " ".join(vocab.decode(output.selected.core())), output.selected_index,
+         repr(output.scores[output.position]), output.report.expansions)
+        for pair, output in zip(test_pairs, outputs)
+    ))
     if save_beams:
         _write_beams_jsonl(
             out / f"beams_{algorithm}_nb{beam_size}.jsonl", test_pairs, outputs, algorithm, beam_size
@@ -526,9 +519,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     selected_lambdas: dict[str, float] = {}
     lambda_curves: dict[str, list] = {}
     memo = Memo()
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_HEADER)
+
+    def rows():
         for nb in cfg.nb_list:
             for algorithm in cfg.algorithms:
                 (lam, curve), (bleu, d1, d2) = _decode_cell(
@@ -538,8 +530,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 if algorithm == "bidis":
                     selected_lambdas[str(nb)] = lam
                     lambda_curves[str(nb)] = curve
-                writer.writerow((algorithm, nb, f"{bleu:.6f}", f"{d1:.6f}", f"{d2:.6f}"))
+                yield algorithm, nb, f"{bleu:.6f}", f"{d1:.6f}", f"{d2:.6f}"
                 print(f"swept {algorithm} at beam size {nb}: BLEU-4 {bleu:.3f}")
+
+    _write_csv(out / "sweep.csv", SWEEP_HEADER, rows())
     _write_config(
         out, "sweep", cfg, {"lambda_selected": selected_lambdas, "lambda_curve": lambda_curves}
     )
@@ -636,51 +630,46 @@ def cmd_analyze(cfg: RunConfig) -> int:
     for path in beam_files:
         match = _BEAMS_FILE_RE.match(path.name)
         algorithm = match.group("alg")
+        if algorithm not in ALGORITHMS:
+            raise ConfigError(f"{path}: unknown algorithm {algorithm!r} in the file name; "
+                              f"expected one of {', '.join(ALGORITHMS)}")
         cells.append((algorithm, int(match.group("nb")), _load_beam_records(path, algorithm, ids)))
     cells.sort(key=lambda cell: (cell[0], cell[1]))
 
-    with open(out / "rank_histogram.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RANK_HEADER)
-        for algorithm, nb, records in cells:
-            histogram = rank_histogram(records, max(len(r.beam) for r in records))
-            for rank, count in enumerate(histogram.counts, start=1):
-                writer.writerow((algorithm, nb, rank, count))
+    _write_csv(out / "rank_histogram.csv", RANK_HEADER, (
+        (algorithm, nb, rank, count)
+        for algorithm, nb, records in cells
+        for rank, count in enumerate(
+            rank_histogram(records, max(len(r.beam) for r in records)).counts, start=1)
+    ))
 
     # One BLEU memo for every cell: cells share beams and references, and a
     # selected member is one its beam's oracle search has already counted.
     memo = Memo()
-    with open(out / "oracle_bleu.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(ORACLE_HEADER)
+
+    def oracle_rows():
         for algorithm, nb, records in cells:
             algo_pairs = []
             oracle_pairs = []
             for record in records:
                 beam, reference = record.beam, record.reference
-                selected = beam[0]
-                if algorithm.startswith("bidia"):
-                    selected = beam[record.selected_index - 1]
+                # An agreement pick keeps its regular beam's search order;
+                # vbs and bidis write their selection first.
+                selected = beam[record.selected_index - 1 if algorithm in _MEASURE_KINDS else 0]
                 best, _ = best_hypothesis(beam, reference, memo)
                 algo_pairs.append((selected.core(), reference))
                 oracle_pairs.append((best.core(), reference))
-            writer.writerow(
-                (
-                    algorithm,
-                    nb,
-                    f"{corpus_bleu4(algo_pairs, memo):.6f}",
-                    f"{corpus_bleu4(oracle_pairs, memo):.6f}",
-                )
-            )
+            yield (algorithm, nb, f"{corpus_bleu4(algo_pairs, memo):.6f}",
+                   f"{corpus_bleu4(oracle_pairs, memo):.6f}")
 
-    with open(out / "word_position.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(WORD_POSITION_HEADER)
-        for order in ("regular", "reverse"):
-            for position in (1, 2, 3):
-                ranked = surface_position_frequency(targets, vocab, position, order)
-                for rank, (word, count) in enumerate(ranked, start=1):
-                    writer.writerow((order, position, rank, word, count))
+    _write_csv(out / "oracle_bleu.csv", ORACLE_HEADER, oracle_rows())
+    _write_csv(out / "word_position.csv", WORD_POSITION_HEADER, (
+        (order, position, rank, word, count)
+        for order in ("regular", "reverse")
+        for position in (1, 2, 3)
+        for rank, (word, count) in enumerate(
+            surface_position_frequency(targets, vocab, position, order), start=1)
+    ))
 
     _write_config(out, "analyze", cfg)
     print(f"analyzed {len(cells)} decode cells into rank_histogram.csv, oracle_bleu.csv, word_position.csv")
@@ -710,10 +699,7 @@ def cmd_corpus_stats(cfg: RunConfig) -> int:
     if cfg.out:
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "corpus_stats.csv", "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("stat", "value"))
-            writer.writerows(stats)
+        _write_csv(out / "corpus_stats.csv", ("stat", "value"), stats)
     return 0
 
 

@@ -1,5 +1,6 @@
 """Beam search: length penalty, ranking, termination, instrumentation."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -118,9 +119,16 @@ class TestVbsDecode:
         model = RandomTableLM(vocab6, 17)
         out = vbs_decode(model, (4, 5), SearchParams(6, 5))
         assert list(out.scores) == sorted(out.scores, reverse=True)
-        assert out.selected == out.beam[0]
+        assert out.selected == out.beam[out.position] == out.beam[0]
+        assert out.position == 0
         assert out.selected_index == 1
         assert len(out.beam) == 6
+
+    def test_selected_is_read_from_position(self, vocab6):
+        """The selection is stored once, as its index in the beam."""
+        out = vbs_decode(RandomTableLM(vocab6, 17), (4, 5), SearchParams(6, 5))
+        assert "selected" not in {field.name for field in dataclasses.fields(DecodeOutput)}
+        assert dataclasses.replace(out, position=3).selected == out.beam[3]
 
     def test_tie_break_is_lexicographic(self, vocab6):
         # A uniform model scores all sequences of one length identically,
@@ -263,6 +271,6 @@ def test_matches_reference_loop_exactly(kind, seed, v, b, t, alpha):
     ref = reference_vbs(model, (4,), v, b, t, alpha)
     assert [(h.tokens, h.logprob, h.finished) for h in out.beam] == ref.beam
     assert list(out.scores) == ref.scores
-    assert out.selected == out.beam[0]
+    assert out.selected == out.beam[out.position] == out.beam[0]
     assert out.report.expansions == ref.expansions
     assert out.report.sort_events == ref.sort_events

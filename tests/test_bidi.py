@@ -162,7 +162,8 @@ class TestBidisDecode:
         out = bidis_decode(regular, reverse, (4,),
                            BidiSParams(SearchParams(3, 2), 1.5))
         assert out.selected.tokens == (5, EOS_ID)
-        assert out.selected == out.beam[0]
+        assert out.selected == out.beam[out.position] == out.beam[0]
+        assert out.position == 0
         assert out.selected_index == 2
 
         lp2 = 7.0 ** 0.6 / 6.0 ** 0.6
@@ -196,7 +197,7 @@ class TestBidisDecode:
         out = bidis_decode(regular, reverse, (4,),
                            BidiSParams(SearchParams(3, 2), 1.5))
         assert base.beam[out.selected_index - 1] == out.selected
-        assert out.selected == out.beam[0]
+        assert out.selected == out.beam[out.position] == out.beam[0]
 
     def test_direction_mismatch_rejected(self, vocab6):
         regular, reverse = scripted_pair(vocab6)
@@ -262,7 +263,8 @@ class TestBidiaDecode:
             out = bidia_decode(regular, reverse, (4, 5), SearchParams(6, 5),
                                SimilaritySpec(BLEU_T, max_length=5))
             assert out.selected in out.beam
-            assert out.beam[out.selected_index - 1] == out.selected
+            assert out.beam[out.selected_index - 1] == out.selected == out.beam[out.position]
+            assert out.position == out.selected_index - 1
             assert len(out.beam) == 3
             assert len(out.reverse_beam) == 3
             assert out.report.pairwise_sim_evals == 9

@@ -45,6 +45,7 @@ from oracles import (
     oracle_best_hypothesis,
     oracle_corpus_bleu4,
     oracle_dissimilarity_wmd,
+    oracle_length_penalty,
     oracle_lambda_curve,
     oracle_select_lambda,
     oracle_word_position_frequency,
@@ -283,10 +284,11 @@ CONFIG_KEYS = {
 FLAGS = {"--config", *CONFIG_KEYS}
 FLAG_OF = {key: flag for flag, key in CONFIG_KEYS.items()}
 
-# One non-default value per option, as it would be typed.
+# One non-default value per option, as it would be typed; the split and the
+# weights repeat an entry, which only the swept lists forbid.
 SAMPLES = {
     "corpus": "c.tsv", "format": "jsonl", "split": "0.5, 0.25,0.25", "seed": "9",
-    "order": "2", "weights": "0.4,0.6", "k": "0.5", "min_count": "3", "B": "6", "T": "7",
+    "order": "2", "weights": "0.5,0.5", "k": "0.5", "min_count": "3", "B": "6", "T": "7",
     "alpha": "1", "algorithm": "bidia-wmd", "lambda_grid": "0,3.5", "embeddings": "v.txt",
     "stopwords": "s.txt", "bp_mode": "multiply", "nb_list": "2,6", "algorithms": "bidis, vbs",
     "save_beams": "true", "out": "run",
@@ -302,6 +304,7 @@ BAD_VALUES = [
     ("algorithms", "vbs,beam"), ("bp_mode", "add"), ("save_beams", "maybe"),
     ("k", "0"), ("split", "0.5,0.1,0.1"), ("order", "2"),
     ("weights", "0.5,0.3,0.1"), ("weights", "-0.2,0.7,0.5"),
+    ("nb_list", "2,2"), ("algorithms", "vbs,vbs"), ("lambda_grid", "1,1"),
 ]
 
 
@@ -701,6 +704,29 @@ def test_sweep_reads_the_wmd_resources_once(workspace, trained, monkeypatch):
     assert loads == {"load_embeddings": 1, "default_stopwords": 1}
 
 
+def test_sweep_decodes_through_the_cli_bindings(workspace, trained, monkeypatch):
+    """Every test decode of a sweep calls ``cli``'s own binding of its
+    decoder, looked up when the cell runs, so a wrapper set on ``cli`` (as
+    perfbench's ``DecodeRecorder`` sets one) sees each of them once."""
+    calls = Counter()
+
+    def counting(name, decode):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return decode(*args, **kwargs)
+        return counted
+
+    for name in ("vbs_decode", "bidis_decode", "bidia_decode"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    assert main(["sweep", "--corpus", str(workspace.corpus), *BASE_FLAGS, "--nb-list", "2,4",
+                 "--algorithms", "vbs,bidis,bidia-bleu,bidia-wmd", "--embeddings",
+                 str(workspace.embeddings), "--out", str(trained)]) == 0
+    test = split_corpus(load_corpus(workspace.corpus), (0.8, 0.1, 0.1), 7).test
+    assert calls == {"vbs_decode": 2 * len(test), "bidis_decode": 2 * len(test),
+                     "bidia_decode": 4 * len(test)}
+    assert sum(calls.values()) == 8 * len(test)
+
+
 @pytest.fixture(scope="module")
 def swept(workspace, tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
@@ -920,8 +946,10 @@ def test_wmd_sweep_equals_the_oracles(workspace, tmp_path):
     """train -> sweep of bidia-wmd at nb 4 and 8, where each half-beam holds
     2 or 4 hypotheses: every persisted beam is the regular half-beam of
     ``reference_vbs``, and every ``selected_index`` is the naive argmin over
-    the oracle WMD of the two reference half-beams.  The test split repeats
-    sources, so the command's memo serves repeated pairs."""
+    the oracle WMD of the two reference half-beams.  Each decodes row's
+    output and score are those of the member at that index, which is often
+    not the first, and analyze scores the same selections.  The test split
+    repeats sources, so the command's memo serves repeated pairs."""
     out = tmp_path / "run"
     flags = ["--corpus", str(workspace.corpus), *BASE_FLAGS, "--split", "0.6,0.1,0.3",
              "--out", str(out)]
@@ -946,11 +974,20 @@ def test_wmd_sweep_equals_the_oracles(workspace, tmp_path):
     def cores(run):
         return [tokens[:-1] if finished else tokens for tokens, _, finished in run.beam]
 
+    picks = []
     for nb in (4, 8):
         records = [json.loads(line) for line in
                    (out / f"beams_bidia-wmd_nb{nb}.jsonl").read_text(encoding="utf-8").splitlines()]
         sources = [tuple(record["source"]) for record in records]
         assert len(set(sources)) < len(sources)
+        rows = read_csv(out / f"decodes_bidia-wmd_nb{nb}.csv")[1:]
+        assert len(rows) == len(records)
+        for row, record in zip(rows, records):
+            picks.append(record["selected_index"])
+            member = record["beam"][record["selected_index"] - 1]
+            tokens = member["tokens"]
+            assert row[2] == " ".join(vocab.decode(tokens[:-1] if member["finished"] else tokens))
+            assert row[4] == repr(member["logprob"] / oracle_length_penalty(len(tokens), alpha))
         for record in records:
             regular_run = reference_vbs(regular, record["source"], vocab.size, nb // 2, t, alpha)
             reverse_run = reference_vbs(reverse, record["source"], vocab.size, nb // 2, t, alpha)
@@ -960,6 +997,12 @@ def test_wmd_sweep_equals_the_oracles(workspace, tmp_path):
                 cores(regular_run), [core[::-1] for core in cores(reverse_run)],
                 regular_run.scores, dissimilarity)
             assert record["selected_index"] == i + 1
+    assert max(picks) > 1
+    # analyze finds each persisted selection where the decoder put it: its
+    # BLEU-4 of a cell is the one sweep scored from the decodes themselves.
+    assert main(["analyze", *flags]) == 0
+    assert ([row[2] for row in read_csv(out / "oracle_bleu.csv")[1:]]
+            == [row[2] for row in read_csv(out / "sweep.csv")[1:]])
 
 
 class TestSearchMemo:
@@ -1255,6 +1298,21 @@ class TestBeamFileFaults:
         err = capsys.readouterr().err
         assert f"beams_vbs_nb4.jsonl: line 2: {problem}" in err
         assert "runtime error" not in err
+
+    def test_unknown_algorithm_rejected(self, workspace, trained, capsys):
+        """A beam file named for no known algorithm exits 1 before any report."""
+        assert decode_into(workspace, trained, "--save-beams") == 0
+        lines = (trained / "beams_vbs_nb4.jsonl").read_text(encoding="utf-8").splitlines()
+        records = [{**json.loads(line), "algorithm": "bidia"} for line in lines]
+        (trained / "beams_bidia_nb4.jsonl").write_text(
+            "".join(json.dumps(record, sort_keys=True) + "\n" for record in records), encoding="utf-8")
+        capsys.readouterr()
+        argv = ["analyze", "--corpus", str(workspace.corpus), *BASE_FLAGS, "--out", str(trained)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "beams_bidia_nb4.jsonl: unknown algorithm 'bidia'" in err
+        assert "vbs, bidis, bidia-bleu, bidia-wmd" in err
+        assert not (trained / "rank_histogram.csv").exists()
 
     def test_empty_beam_file_rejected(self, workspace, trained, capsys):
         (trained / "beams_vbs_nb4.jsonl").write_text("\n", encoding="utf-8")

@@ -108,10 +108,10 @@ class Memo(dict):
     ``evaluation`` a reference's n-grams, a (candidate, reference) pair's
     clipped counts and its sentence BLEU-4.
 
-    A decoder or similarity given ``memo=None`` calls the maker directly
-    and hashes nothing, so any model decodes, and computes everything
-    afresh; a BLEU scorer given none uses a fresh memo, since its keys are
-    token tuples.  A plain dict is no memo: it has no ``__missing__``.  Each
+    Decoders and similarities reach a maker through ``made``, which without
+    a memo calls it directly and hashes nothing, so any model decodes; a
+    BLEU scorer given no memo uses a fresh one, since its keys are token
+    tuples.  A plain dict is no memo: it has no ``__missing__``.  Each
     command builds one memo, which lives as long as the command and has no
     size cap.
     """
@@ -120,6 +120,11 @@ class Memo(dict):
         make, *args = key
         value = self[key] = make(*args, self)
         return value
+
+
+def made(memo: Memo | None, make, *args):
+    """``make(*args, memo)``: made afresh without a memo, else looked up in it."""
+    return make(*args, None) if memo is None else memo[(make,) + args]
 
 
 def length_penalty(length: int, alpha: float) -> float:
@@ -170,9 +175,7 @@ def vbs_decode(
     objects; ``sort_events`` still records the n * V pool.  A search
     already in ``memo`` is not repeated.
     """
-    if memo is None:
-        return _search(model, source, params, None)
-    return memo[_search, model, tuple(source), params]
+    return made(memo, _search, model, tuple(source), params)
 
 
 def _search(

@@ -10,17 +10,11 @@ regular-side member of the most similar cross-beam pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .beam import (
-    DecodeOutput,
-    Hypothesis,
-    Memo,
-    SearchParams,
-    length_penalty,
-    vbs_decode,
-)
+from .beam import DecodeOutput, Hypothesis, Memo, SearchParams, length_penalty, made, vbs_decode
 from .corpus import EOS_ID, SentencePair
 from .errors import DirectionError, ParameterError, VocabularyMismatchError
 from .evaluation import corpus_bleu4
@@ -41,15 +35,15 @@ class BidiSParams:
 
     The weight compensates the scale difference between the two directions'
     normalized log-probabilities; it should be selected on validation data,
-    with 1.0 as the unvalidated fallback.
+    with 1.0 as the unvalidated fallback.  It must be finite and >= 0.
     """
 
     search: SearchParams
     reverse_weight: float = 1.0
 
     def __post_init__(self):
-        if self.reverse_weight < 0:
-            raise ParameterError("reverse weight must be non-negative")
+        if not 0.0 <= self.reverse_weight < math.inf:  # NaN fails both
+            raise ParameterError("reverse weight must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -130,8 +124,7 @@ def bidis_decode(
     re-scoring already in ``memo`` is not repeated.
     """
     _check_directions(regular, reverse)
-    base, terms = (_rescored(regular, reverse, source, params.search, None) if memo is None
-                   else memo[_rescored, regular, reverse, tuple(source), params.search])
+    base, terms = made(memo, _rescored, regular, reverse, tuple(source), params.search)
     order = rank_by_combined_score(base.beam, terms, params.reverse_weight)
     report = ComplexityReport(algorithm="bidis")
     report.merge_search(base.report)
@@ -158,21 +151,23 @@ def select_lambda(
     Returns the weight and the validation curve that chose it: one
     (weight, corpus BLEU-4) pair per grid value, in ascending weight order.
     Ties prefer the smallest weight; an empty validation split falls back
-    to the smallest grid value with an empty curve.  Each validation
-    source is searched and re-scored as ``bidis_decode`` does it, so with a
-    memo a source that is also decoded is re-scored once.  Every weight's
-    selections are scored by ``corpus_bleu4`` over one ``Memo``, ``memo``
-    or a fresh one, so a pair some weights share is counted once.
+    to the smallest grid value with an empty curve.  With validation data
+    or not, the models must pass ``bidis_decode``'s checks and each weight
+    ``BidiSParams``'s.  Each validation source is searched and re-scored as
+    ``bidis_decode`` does it, so with a memo a source that is also decoded
+    is re-scored once.  Every weight's selections are scored by
+    ``corpus_bleu4`` over one ``Memo``, ``memo`` or a fresh one, so a pair
+    some weights share is counted once.
     """
+    _check_directions(regular, reverse)
     if not grid:
         raise ParameterError("the reverse-weight grid must not be empty")
-    if any(weight < 0 for weight in grid):
-        raise ParameterError("reverse weights must be non-negative")
+    for weight in grid:
+        BidiSParams(search, weight)
     grid = sorted(grid)
     if not validation:
         return grid[0], []
-    bases = [(pair, *(_rescored(regular, reverse, pair.source, search, None) if memo is None
-                      else memo[_rescored, regular, reverse, tuple(pair.source), search]))
+    bases = [(pair, *made(memo, _rescored, regular, reverse, tuple(pair.source), search))
              for pair in validation]
     bleu = Memo() if memo is None else memo
     curve = []
@@ -248,9 +243,7 @@ def bidia_decode(
     _check_directions(regular, reverse)
     if params.beam_size % 2 != 0 or params.beam_size < 2:
         raise ParameterError("agreement decoding needs an even beam size >= 2")
-    if memo is None:
-        return _agree(regular, reverse, source, params, measure, None)
-    return memo[_agree, regular, reverse, tuple(source), params, measure]
+    return made(memo, _agree, regular, reverse, tuple(source), params, measure)
 
 
 def _agree(

@@ -16,15 +16,13 @@ from collections import Counter
 from itertools import chain
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .beam import Memo, made
 from .corpus import Vocabulary, numbered_lines, read_user_text
 from .errors import DegeneratePairError, FormatError, ParameterError
-
-if TYPE_CHECKING:
-    from .beam import Memo
 
 log = logging.getLogger(__name__)
 
@@ -242,7 +240,7 @@ def default_stopwords() -> frozenset[str]:
 
 @dataclass(frozen=True)
 class TransportProblem:
-    """A balanced transportation LP with probability-mass marginals."""
+    """A balanced transportation LP: both marginals sum to 1 and agree, within 1e-9."""
 
     supply: np.ndarray
     demand: np.ndarray
@@ -263,8 +261,9 @@ class TransportProblem:
             raise ParameterError("weights must be non-negative")
         if (cost < 0).any():
             raise ParameterError("costs must be non-negative")
-        if abs(supply.sum() - 1.0) > 1e-9 or abs(demand.sum() - 1.0) > 1e-9:
-            raise ParameterError("supply and demand weights must each sum to 1")
+        supplied, demanded = supply.sum(), demand.sum()
+        if max(abs(supplied - 1.0), abs(demanded - 1.0), abs(supplied - demanded)) > 1e-9:
+            raise ParameterError("supply and demand weights must each sum to 1 and agree, within 1e-9")
 
 
 def solve_transport(problem: TransportProblem) -> tuple[np.ndarray, float]:
@@ -380,13 +379,13 @@ def _problem(
 
 def _raw_wmd(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None) -> float:
     """The WMD pair's exact distance before ``bp_t``; +inf when degenerate."""
-    problem = _problem(y_n, y_r, spec, None) if memo is None else memo[_problem, y_n, y_r, spec]
+    problem = made(memo, _problem, y_n, y_r, spec)
     return math.inf if problem is None else solve_transport(problem)[1]
 
 
 def _raw_bound(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None) -> float:
     """The WMD pair's relaxed distance before ``bp_t``; +inf when degenerate."""
-    problem = _problem(y_n, y_r, spec, None) if memo is None else memo[_problem, y_n, y_r, spec]
+    problem = made(memo, _problem, y_n, y_r, spec)
     return math.inf if problem is None else _relaxed_wmd(problem)
 
 
@@ -412,10 +411,8 @@ def dissimilarity(
     if not y_n or not y_r:
         return math.inf
     if spec.kind == BLEU_T:
-        return (_bleu_dissimilarity(y_n, y_r, spec, None) if memo is None
-                else memo[_bleu_dissimilarity, tuple(y_n), tuple(y_r), spec])
-    cost = (_raw_wmd(y_n, y_r, spec, None) if memo is None
-            else memo[_raw_wmd, tuple(y_n), tuple(y_r), spec])
+        return made(memo, _bleu_dissimilarity, tuple(y_n), tuple(y_r), spec)
+    cost = made(memo, _raw_wmd, tuple(y_n), tuple(y_r), spec)
     return _scale_by_brevity(cost, len(y_n), spec)
 
 
@@ -436,6 +433,5 @@ def dissimilarity_lower_bound(
         return math.inf
     if spec.kind == BLEU_T:
         return 0.0
-    bound = (_raw_bound(y_n, y_r, spec, None) if memo is None
-             else memo[_raw_bound, tuple(y_n), tuple(y_r), spec])
+    bound = made(memo, _raw_bound, tuple(y_n), tuple(y_r), spec)
     return _scale_by_brevity(bound, len(y_n), spec)

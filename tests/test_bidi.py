@@ -16,9 +16,10 @@ from bidibeam.bidi import (
     bidis_decode,
     rank_by_combined_score,
     rescore_terms,
+    select_lambda,
     unreverse_hypothesis,
 )
-from bidibeam.corpus import EOS_ID, build_vocabulary, encode_pairs
+from bidibeam.corpus import EOS_ID, SentencePair, build_vocabulary, encode_pairs
 from bidibeam.errors import DirectionError, ParameterError, VocabularyMismatchError
 from bidibeam.lm import (
     REGULAR,
@@ -80,8 +81,11 @@ def scripted_pair(vocab):
 
 class TestBidiSParams:
     def test_negative_weight_rejected(self):
-        with pytest.raises(ParameterError):
-            BidiSParams(SearchParams(4, 5), -0.5)
+        """A negative weight is rejected, and so is a NaN or infinite one,
+        which would make every combined score NaN or -inf."""
+        for weight in (-0.5, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                BidiSParams(SearchParams(4, 5), weight)
 
     def test_default_weight_is_one(self):
         assert BidiSParams(SearchParams(4, 5)).reverse_weight == 1.0
@@ -206,6 +210,12 @@ class TestBidisDecode:
             bidis_decode(regular, regular, (4,), params)
         with pytest.raises(DirectionError):
             bidis_decode(reverse, reverse, (4,), params)
+        # select_lambda checks the models as bidis_decode does, with or
+        # without validation data to search.
+        for validation in ([], [SentencePair((4,), (5,))]):
+            for models in ((regular, regular), (reverse, reverse)):
+                with pytest.raises(DirectionError):
+                    select_lambda(*models, validation, params.search, [0.0, 1.0])
 
     def test_vocabulary_size_mismatch_rejected(self):
         regular = RandomTableLM(dummy_vocab(6), 1, direction=REGULAR)
@@ -213,6 +223,9 @@ class TestBidisDecode:
         with pytest.raises(VocabularyMismatchError):
             bidis_decode(regular, reverse, (4,),
                          BidiSParams(SearchParams(2, 2), 1.0))
+        for validation in ([], [SentencePair((4,), (5,))]):
+            with pytest.raises(VocabularyMismatchError):
+                select_lambda(regular, reverse, validation, SearchParams(2, 2), [0.0, 1.0])
 
 
 class TestUnreverseHypothesis:

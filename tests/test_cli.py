@@ -901,28 +901,36 @@ def persisted_selections(path):
 
 @settings(max_examples=8, deadline=None)
 @given(st.integers(30, 60), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
-       st.lists(st.sampled_from([2, 4]), min_size=1, max_size=2, unique=True),
-       st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), min_size=1, max_size=5, unique=True))
-# Corpora on which validation BLEU picks a weight above the smallest one.
-@example(33, 4, 2, [2, 4], [0.0, 0.25, 0.5, 1.0, 2.0])
-@example(30, 1, 2, [4, 2], [2.0, 1.0, 0.0])
+       st.lists(st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=3, unique=True),
+       st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), min_size=1, max_size=5, unique=True),
+       st.sampled_from([0.0, 0.6, 1.0]), st.sampled_from([0.05, 0.1, 1.0]), st.sampled_from([1, 2]))
+# Corpora on which validation BLEU picks a weight above the smallest one,
+# at BASE_FLAGS' k and the default alpha and min-count.
+@example(33, 4, 2, [2, 4], [0.0, 0.25, 0.5, 1.0, 2.0], 0.6, 0.01, 1)
+@example(30, 1, 2, [4, 2], [2.0, 1.0, 0.0], 0.6, 0.01, 1)
 # A corpus whose curve is all zeros: the smallest weight wins by the tie rule.
-@example(30, 0, 0, [2, 4], [2.0, 0.5, 0.0])
-def test_sweep_equals_the_oracles(size, corpus_seed, split_seed, beam_sizes, grid):
-    """train -> sweep on a small corpus: every recorded weight and
+@example(30, 0, 0, [2, 4], [2.0, 0.5, 0.0], 0.6, 0.01, 1)
+def test_sweep_equals_the_oracles(size, corpus_seed, split_seed, beam_sizes, grid, alpha, k, min_count):
+    """train -> sweep -> analyze on a small corpus: every recorded weight and
     validation curve is the one the oracle gives on the loaded models and
-    the validation split, and every BLEU-4 cell is the oracle's corpus
-    BLEU-4 of its persisted picks."""
+    the validation split, every persisted vbs beam is ``reference_vbs``'s,
+    every BLEU-4 cell is the oracle's corpus BLEU-4 of its persisted picks,
+    and analyze scores each cell's picks as sweep did.  Odd beam sizes
+    leave out bidia-bleu, which needs an even one."""
+    algorithms = "vbs,bidis" if any(nb % 2 for nb in beam_sizes) else "vbs,bidis,bidia-bleu"
     with tempfile.TemporaryDirectory() as root:
         corpus, out = Path(root) / "corpus.tsv", Path(root) / "run"
         write_corpus_tsv(synthetic_pairs(size, seed=corpus_seed), corpus)
-        flags = ["--corpus", str(corpus), *BASE_FLAGS, "--seed", str(split_seed), "--out", str(out)]
+        # The later --k replaces BASE_FLAGS' one.
+        flags = ["--corpus", str(corpus), *BASE_FLAGS, "--seed", str(split_seed), "--out", str(out),
+                 "--alpha", str(alpha), "--k", str(k), "--min-count", str(min_count)]
         assert main(["train", *flags]) == 0
         assert main(["sweep", *flags, "--nb-list", ",".join(map(str, beam_sizes)),
-                     "--algorithms", "vbs,bidis,bidia-bleu",
+                     "--algorithms", algorithms,
                      "--lambda-grid", ",".join(map(str, grid))]) == 0
 
         resolved = json.loads((out / "config_sweep.json").read_text(encoding="utf-8"))
+        assert (resolved["alpha"], resolved["k"], resolved["min_count"]) == (alpha, k, min_count)
         vocab = Vocabulary.load(out / "vocab.txt")
         regular = ConditionalNGramLM.load(out / "lm_regular.json", vocab)
         reverse = ConditionalNGramLM.load(out / "lm_reverse.json", vocab)
@@ -937,9 +945,20 @@ def test_sweep_equals_the_oracles(size, corpus_seed, split_seed, beam_sizes, gri
             str(nb): [[lam, bleu] for lam, bleu in
                       oracle_lambda_curve(regular, reverse, validation, search, grid)]
             for nb, search in searches.items()}
-        for algorithm, nb, bleu, _, _ in read_csv(out / "sweep.csv")[1:]:
+        for nb in beam_sizes:
+            for line in (out / f"beams_vbs_nb{nb}.jsonl").read_text(encoding="utf-8").splitlines():
+                record = json.loads(line)
+                expected = reference_vbs(regular, tuple(record["source"]), vocab.size, nb,
+                                         resolved["max_length"], alpha)
+                assert ([member["tokens"] for member in record["beam"]]
+                        == [list(tokens) for tokens, _, _ in expected.beam])
+        sweep = read_csv(out / "sweep.csv")[1:]
+        for algorithm, nb, bleu, _, _ in sweep:
             selections = persisted_selections(out / f"beams_{algorithm}_nb{nb}.jsonl")
             assert bleu == f"{oracle_corpus_bleu4(selections):.6f}"
+        assert main(["analyze", *flags]) == 0
+        assert ({(algorithm, nb): bleu for algorithm, nb, bleu, _ in read_csv(out / "oracle_bleu.csv")[1:]}
+                == {(algorithm, nb): bleu for algorithm, nb, bleu, _, _ in sweep})
 
 
 def test_wmd_sweep_equals_the_oracles(workspace, tmp_path):

@@ -1,17 +1,20 @@
 """The command memo: decodes and scorings that share one give the outputs
 of memo-free ones."""
 
+import ast
 import dataclasses
 import itertools
 import math
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bidibeam
 from bidibeam import bidi, evaluation, similarity
 from bidibeam.beam import Hypothesis, Memo, SearchParams, _search, vbs_decode
 from bidibeam.bidi import BidiSParams, bidia_decode, bidis_decode, select_lambda
@@ -367,13 +370,47 @@ def test_select_lambda_empty_validation_takes_smallest_weight():
     assert select_lambda(regular, reverse, [], SearchParams(2, 3), [2.0, 0.5, 1.0]) == (0.5, [])
 
 
-@pytest.mark.parametrize("grid", [[], [-1.0], [0.5, -0.25]])
+@pytest.mark.parametrize("grid", [[], [-1.0], [0.5, -0.25], [math.nan], [0.5, math.inf]])
 @pytest.mark.parametrize("validation", [[], [SentencePair((4,), (5,))]])
 def test_select_lambda_rejects_a_bad_grid(grid, validation):
-    """An empty grid or a negative weight is a ParameterError, whether or
-    not there is validation data to score."""
+    """An empty grid or a negative, NaN or infinite weight is a
+    ParameterError, whether or not there is validation data to score."""
     vocab = dummy_vocab(6)
     regular = RandomTableLM(vocab, 1, direction=REGULAR)
     reverse = RandomTableLM(vocab, 2, direction=REVERSE)
     with pytest.raises(ParameterError):
         select_lambda(regular, reverse, validation, SearchParams(2, 3), grid)
+
+
+def memo_dispatches():
+    """Where each ``bidibeam`` module indexes a name ``memo`` or tests
+    ``memo is None``: two sets of (module, innermost function) pairs."""
+    indexed, tested = set(), set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "memo":
+            indexed.add((module, function))
+        if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name) and node.left.id == "memo"
+                and isinstance(node.ops[0], ast.Is) and isinstance(node.comparators[0], ast.Constant)
+                and node.comparators[0].value is None):
+            tested.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(Path(bidibeam.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return indexed, tested
+
+
+def test_made_is_the_one_memo_dispatch():
+    """Decoders and similarities reach their makers through ``beam.made``
+    alone: only ``made`` and the BLEU scorers of ``evaluation``, whose memo
+    is never None, index a memo, and ``memo is None`` is tested only by
+    ``made`` and by the three functions that default to a fresh ``Memo``."""
+    indexed, tested = memo_dispatches()
+    assert {site for site in indexed if site[0] != "evaluation"} == {("beam", "made")}
+    assert tested <= {("beam", "made"), ("bidi", "select_lambda"),
+                      ("evaluation", "corpus_bleu4"), ("evaluation", "best_hypothesis")}
+    assert ("beam", "made") in tested

@@ -313,6 +313,11 @@ class TestSolveTransport:
         with pytest.raises(ParameterError):
             TransportProblem(np.array([0.9]), np.array([1.0]),
                              np.array([[1.0]]))
+        # Each total is within 1e-9 of 1, but they differ by 1.6e-9, more
+        # than solve_transport allows: the problem must not construct.
+        with pytest.raises(ParameterError):
+            TransportProblem(np.array([0.5 + 4e-10] * 2), np.array([0.5 - 4e-10] * 2),
+                             np.ones((2, 2)))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ParameterError):

@@ -20,7 +20,7 @@ from .errors import DirectionError, ParameterError, VocabularyMismatchError
 from .evaluation import corpus_bleu4
 from .instrumentation import ComplexityReport
 from .lm import LanguageModel, reverse_sequence_logprob
-from .similarity import SimilaritySpec, dissimilarity, dissimilarity_lower_bound
+from .similarity import SimilaritySpec, dissimilarity, dissimilarity_lower_bound, tie_break
 
 # A pair is skipped only when its lower bound exceeds the best exact
 # dissimilarity by more than this margin, so float rounding in the bound
@@ -201,10 +201,12 @@ def agreement_argmin(
     Every pair gets a cheap lower bound and pairs are visited by ascending
     (bound, -score, i, j).  Once a bound exceeds the best exact value by more
     than the rounding margin, so does every later one, and none of those
-    pairs can win or tie, so the scan stops there.  The selection key is a
-    total order, so the result equals that of scanning every pair.  ``memo``
-    goes to both the bound and the exact dissimilarity, so they share each
-    WMD pair's transport problem, and the command solves each pair once.
+    pairs can win or tie, so the scan stops there.  The selection key is the
+    total order (d, ``tie_break``, -score, i, j), so the result equals that
+    of scanning every pair.  ``memo`` goes to the bound, the exact
+    dissimilarity and the tie-break, so they share each WMD pair's
+    transport problem and each BLEU-T pair's bleu_t, and the command solves
+    each pair once.
     """
     candidates = sorted(
         (dissimilarity_lower_bound(y_n, y_r, measure, memo), -regular_scores[i], i, j)
@@ -216,11 +218,13 @@ def agreement_argmin(
     for bound, neg_score, i, j in candidates:
         if best_key is not None and bound > best_key[0] * (1 + _PRUNE_RTOL) + _PRUNE_ATOL:
             break
-        key = (dissimilarity(regular_cores[i], reverse_cores[j], measure, memo), neg_score, i, j)
+        y_n, y_r = regular_cores[i], reverse_cores[j]
+        key = (dissimilarity(y_n, y_r, measure, memo), tie_break(y_n, y_r, measure, memo),
+               neg_score, i, j)
         exact_evals += 1
         if best_key is None or key < best_key:
             best_key = key
-    d, _, i, j = best_key
+    d, _, _, i, j = best_key
     return i, j, d, exact_evals
 
 

@@ -2,13 +2,20 @@
 
 Two measures are provided: a sentence BLEU variant whose brevity penalty
 treats the decoder's maximum length T as the reference length, and a Word
-Mover's Distance backed by an exact transportation-LP solver over word
-embeddings.  Both are exposed through a single ``dissimilarity`` function
-that agreement decoding minimizes.
+Mover's Distance over word embeddings.  Both are exposed through a single
+``dissimilarity`` function that agreement decoding minimizes.
+
+A WMD is a transportation problem whose marginals are word counts over
+sentence lengths, so its optimum is an integral flow once both bags are
+scaled to a common length.  ``dissimilarity`` solves it exactly on those
+integer counts by successive shortest paths, in Python.  HiGHS
+(``solve_transport``, through scipy) solves it as an LP for ``wmd``, and
+scipy is imported at the first such solve.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -16,7 +23,7 @@ from collections import Counter
 from itertools import chain
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -296,11 +303,19 @@ def solve_transport(problem: TransportProblem) -> tuple[np.ndarray, float]:
     return flow, float(np.sum(flow * cost))
 
 
-def _bag_of_words(words: Sequence[str]) -> tuple[list[str], np.ndarray]:
+def _bag_of_words(words: Sequence[str]) -> tuple[list[str], list[int]]:
     counts = Counter(words)
     unique = sorted(counts)
-    weights = np.array([counts[w] for w in unique], dtype=float)
-    return unique, weights / weights.sum()
+    return unique, [counts[w] for w in unique]
+
+
+class _Bags(NamedTuple):
+    """A WMD pair's transport problem with the two bags' word counts, which
+    its supply and demand are normalized from."""
+
+    lp: TransportProblem
+    supply_counts: list[int]
+    demand_counts: list[int]
 
 
 def _transport_problem(
@@ -308,7 +323,7 @@ def _transport_problem(
     y: Sequence[str],
     table: EmbeddingTable,
     stopwords: frozenset[str],
-) -> TransportProblem:
+) -> _Bags:
     """Filter stopwords and words without embeddings, then build the
     bag-of-words marginals and the Euclidean cost matrix of the pair."""
     kept_x = [w for w in x if w not in stopwords and w in table]
@@ -318,13 +333,86 @@ def _transport_problem(
         log.debug("wmd dropped %d stopword/out-of-vocabulary tokens", dropped)
     if not kept_x or not kept_y:
         raise DegeneratePairError("a side is empty after stopword/OOV filtering")
-    words_x, supply = _bag_of_words(kept_x)
-    words_y, demand = _bag_of_words(kept_y)
+    words_x, counts_x = _bag_of_words(kept_x)
+    words_y, counts_y = _bag_of_words(kept_y)
+    supply, demand = np.array(counts_x, dtype=float), np.array(counts_y, dtype=float)
     points_x = np.stack([table.vector(w) for w in words_x])
     points_y = np.stack([table.vector(w) for w in words_y])
     deltas = points_x[:, None, :] - points_y[None, :, :]
     cost = np.sqrt((deltas**2).sum(axis=2))
-    return TransportProblem(supply, demand, cost)
+    return _Bags(TransportProblem(supply / supply.sum(), demand / demand.sum(), cost),
+                 counts_x, counts_y)
+
+
+def _path_transport(bags: _Bags) -> float:
+    """The exact optimum of ``bags.lp``, solved on the integer counts.
+
+    Both bags are scaled to L = lcm(|x|, |y|) tokens, so supplies and
+    demands are integers and an optimal flow is integral.  Successive
+    shortest paths find one.  Each round runs Dijkstra on reduced costs over
+    the m x n residual graph, from every row with supply left to the nearest
+    column with demand left, and sends along that path all the flow it
+    carries.  The node potentials then rise by the distances found, which
+    keeps every residual reduced cost non-negative.  Each round empties a
+    row, fills a column or cancels a flow, so the number of rounds does not
+    grow with L.  Returns sum(flow * cost) / L.
+    """
+    size_x, size_y = sum(bags.supply_counts), sum(bags.demand_counts)
+    scale = math.lcm(size_x, size_y)
+    left = [c * (scale // size_x) for c in bags.supply_counts]
+    need = [c * (scale // size_y) for c in bags.demand_counts]
+    cost = bags.lp.cost.tolist()
+    m, n = len(left), len(need)
+    cols = range(m, m + n)  # rows are nodes 0 .. m-1, columns the next n
+    flow = [[0] * n for _ in range(m)]
+    carriers = [[] for _ in range(n)]  # the rows that send flow to each column
+    potential = [0.0] * (m + n)
+    remaining = scale
+    while remaining:
+        distance = [0.0 if supply else math.inf for supply in left] + [math.inf] * n
+        via = [-1] * (m + n)
+        heap = [(0.0, i) for i in range(m) if left[i]]
+        done = set()
+        while True:
+            reach, node = heapq.heappop(heap)
+            if node in done:
+                continue
+            done.add(node)
+            if node < m:
+                arcs = zip(cols, cost[node])
+            elif need[node - m]:
+                break
+            else:
+                arcs = ((i, -cost[i][node - m]) for i in carriers[node - m])
+            base = reach + potential[node]
+            for v, c in arcs:
+                step = base + c - potential[v]
+                if step < distance[v] and v not in done:
+                    distance[v], via[v] = step, node
+                    heapq.heappush(heap, (step, v))
+        for v, d in enumerate(distance):
+            potential[v] += min(d, reach)
+        end = node - m
+        path, amount, j = [], need[end], end
+        while True:
+            i = via[m + j]
+            path.append((i, j, 1))
+            if via[i] < 0:
+                break
+            j = via[i] - m
+            path.append((i, j, -1))
+            amount = min(amount, flow[i][j])
+        amount = min(amount, left[i])
+        left[i] -= amount
+        need[end] -= amount
+        remaining -= amount
+        for i, j, sign in path:
+            if not flow[i][j]:
+                carriers[j].append(i)
+            flow[i][j] += sign * amount
+            if not flow[i][j]:
+                carriers[j].remove(i)
+    return math.fsum(f * c for fs, cs in zip(flow, cost) for f, c in zip(fs, cs) if f) / scale
 
 
 def wmd(
@@ -338,7 +426,7 @@ def wmd(
     Stopwords and words without embeddings are dropped first; if either side
     becomes empty the pair is degenerate and cannot be compared.
     """
-    _, total = solve_transport(_transport_problem(x, y, table, stopwords))
+    _, total = solve_transport(_transport_problem(x, y, table, stopwords).lp)
     return total
 
 
@@ -368,8 +456,8 @@ def _scale_by_brevity(cost: float, candidate_length: int, spec: SimilaritySpec) 
 
 def _problem(
     y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None
-) -> Optional[TransportProblem]:
-    """The WMD pair's ``TransportProblem``; None when the pair is degenerate."""
+) -> Optional[_Bags]:
+    """The WMD pair's ``_Bags``; None when the pair is degenerate."""
     try:
         return _transport_problem(_as_words(y_n, spec), _as_words(y_r, spec),
                                   spec.embeddings, spec.stopwords)
@@ -378,21 +466,22 @@ def _problem(
 
 
 def _raw_wmd(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None) -> float:
-    """The WMD pair's exact distance before ``bp_t``; +inf when degenerate."""
-    problem = made(memo, _problem, y_n, y_r, spec)
-    return math.inf if problem is None else solve_transport(problem)[1]
+    """The WMD pair's exact distance before ``bp_t`` (``_path_transport``);
+    +inf when degenerate."""
+    bags = made(memo, _problem, y_n, y_r, spec)
+    return math.inf if bags is None else _path_transport(bags)
 
 
 def _raw_bound(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None) -> float:
     """The WMD pair's relaxed distance before ``bp_t``; +inf when degenerate."""
-    problem = made(memo, _problem, y_n, y_r, spec)
-    return math.inf if problem is None else _relaxed_wmd(problem)
+    bags = made(memo, _problem, y_n, y_r, spec)
+    return math.inf if bags is None else _relaxed_wmd(bags.lp)
 
 
-def _bleu_dissimilarity(
+def _bleu_similarity(
     y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None
 ) -> float:
-    return 1.0 - bleu_t(y_n, y_r, spec)
+    return bleu_t(y_n, y_r, spec)
 
 
 def dissimilarity(
@@ -404,14 +493,16 @@ def dissimilarity(
     default, so short candidates incur larger dissimilarity; the multiply
     mode implements the literal product d = wmd * bp_t instead.  Degenerate
     pairs (an empty side, or nothing left after WMD filtering) score +inf so
-    the argmin skips them unless every pair is degenerate.  With a memo, a
-    BLEU-T pair's d and a WMD pair's raw distance are computed once per
-    memo (see ``beam.Memo``).
+    the argmin skips them unless every pair is degenerate.  A WMD pair's
+    raw distance is the exact optimum on the bags' integer counts
+    (``_raw_wmd``), within a few ulps of what ``wmd`` returns.  With a memo,
+    a BLEU-T pair's bleu_t and a WMD pair's raw distance are computed once
+    per memo (see ``beam.Memo``).
     """
     if not y_n or not y_r:
         return math.inf
     if spec.kind == BLEU_T:
-        return made(memo, _bleu_dissimilarity, tuple(y_n), tuple(y_r), spec)
+        return 1.0 - made(memo, _bleu_similarity, tuple(y_n), tuple(y_r), spec)
     cost = made(memo, _raw_wmd, tuple(y_n), tuple(y_r), spec)
     return _scale_by_brevity(cost, len(y_n), spec)
 
@@ -435,3 +526,18 @@ def dissimilarity_lower_bound(
         return 0.0
     bound = made(memo, _raw_bound, tuple(y_n), tuple(y_r), spec)
     return _scale_by_brevity(bound, len(y_n), spec)
+
+
+def tie_break(
+    y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None = None
+) -> float:
+    """Orders pairs of equal ``dissimilarity``, the lower first.
+
+    bleu_t: -bleu_t, since d = 1 - bleu_t rounds to 1.0 for every pair whose
+    brevity penalty falls below 2**-53 (a large T), while their bleu_t still
+    differ; with a memo this reads the value ``dissimilarity`` stored.
+    wmd_t, and degenerate pairs: 0.0.
+    """
+    if spec.kind == BLEU_T and y_n and y_r:
+        return -made(memo, _bleu_similarity, tuple(y_n), tuple(y_r), spec)
+    return 0.0

@@ -546,14 +546,18 @@ def naive_agreement_argmin(
     reverse_beam,
     regular_scores: Sequence[float],
     dissimilarity,
+    similarity=None,
 ) -> tuple[int, int, float]:
-    """Double-loop argmin with the documented deterministic tie-break."""
+    """Double-loop argmin with the documented deterministic tie-break: the
+    least d, then (given ``similarity``) the most similar pair, then the
+    highest regular score, then the lowest i and j."""
     best = None
     best_key = None
     for i, hyp_n in enumerate(regular_beam):
         for j, hyp_r in enumerate(reverse_beam):
             d = dissimilarity(hyp_n, hyp_r)
-            key = (d, -regular_scores[i], i, j)
+            closeness = similarity(hyp_n, hyp_r) if similarity else 0.0
+            key = (d, -closeness, -regular_scores[i], i, j)
             if best_key is None or key < best_key:
                 best_key = key
                 best = (i, j, d)

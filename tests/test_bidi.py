@@ -33,8 +33,10 @@ from bidibeam.similarity import (
     WMD_T,
     EmbeddingTable,
     SimilaritySpec,
+    bleu_t,
     dissimilarity,
     dissimilarity_lower_bound,
+    wmd,
 )
 
 from conftest import RandomTableLM, covering_wmd_measures, dummy_vocab, wmd_measures
@@ -374,9 +376,12 @@ class TestBidiaDecode:
 
 
 def naive_over_library(regular_cores, reverse_cores, scores, spec):
+    """The all-pairs scan over the library's ``dissimilarity``; for BLEU-T,
+    pairs of equal d are ordered by the higher ``bleu_t`` first (an empty
+    side's d is +inf whatever its similarity)."""
     return naive_agreement_argmin(
-        regular_cores, reverse_cores, scores,
-        lambda a, b: dissimilarity(a, b, spec))
+        regular_cores, reverse_cores, scores, lambda a, b: dissimilarity(a, b, spec),
+        (lambda a, b: bleu_t(a, b, spec) if a and b else 0.0) if spec.kind == BLEU_T else None)
 
 
 CORES = st.lists(st.integers(3, 8), max_size=4).map(tuple)
@@ -393,7 +398,7 @@ class TestAgreementArgmin:
         spec = data.draw(st.one_of(
             wmd_measures(vocab),
             covering_wmd_measures(vocab),
-            st.builds(SimilaritySpec, st.just(BLEU_T), st.integers(1, 6))))
+            st.builds(SimilaritySpec, st.just(BLEU_T), st.one_of(st.integers(1, 6), st.just(100)))))
         regular = data.draw(HALF_BEAMS)
         reverse = regular if data.draw(st.booleans()) else data.draw(HALF_BEAMS)
         scores = data.draw(st.lists(st.sampled_from([0.0, -0.5, -1.0, -math.inf]),
@@ -401,6 +406,35 @@ class TestAgreementArgmin:
         i, j, d, exact = agreement_argmin(regular, reverse, scores, spec)
         assert (i, j, d) == naive_over_library(regular, reverse, scores, spec)
         assert 1 <= exact <= len(regular) * len(reverse)
+
+    def test_a_tie_highs_rounds_apart_is_decided_by_the_library_d(self):
+        # As in test_bound_one_ulp_above_a_tie_is_still_visited, pair (1, 1)
+        # is a single-word pair placed at pair (0, 0)'s WMD.  HiGHS rounds
+        # pair (0, 0) one ulp above that value, so a scan over its solves
+        # would pick (1, 1); the library's d's tie, and pair (0, 0) wins on
+        # its higher regular score.
+        vocab = dummy_vocab(10)
+        points = {"w4": [0.2, 0.2], "w5": [-0.3, -0.4], "w6": [0.1, 0.2],
+                  "w7": [0.2, -0.2], "w8": [0.0, 50.0]}
+        tie = dissimilarity((4, 5, 6), (7,), SimilaritySpec(
+            WMD_T, max_length=1, vocab=vocab,
+            embeddings=EmbeddingTable({w: np.array(x) for w, x in points.items()})))
+        points["w9"] = [tie, 50.0]
+        table = EmbeddingTable({w: np.array(x) for w, x in points.items()})
+        spec = SimilaritySpec(WMD_T, max_length=1, embeddings=table, vocab=vocab)
+        assert wmd(["w4", "w5", "w6"], ["w7"], table) > tie == dissimilarity((8,), (9,), spec)
+        assert agreement_argmin([(4, 5, 6), (8,)], [(7,), (9,)], [-1.0, -2.0], spec) == (0, 0, tie, 2)
+
+    def test_bleu_t_ties_of_a_large_t_are_broken_by_the_similarity(self):
+        # At T = 100 the brevity penalty of a two-token candidate is below
+        # 2**-53, so both pairs' d = 1 - bleu_t rounds to 1.0.  Their bleu_t
+        # still differ (about 3.7e-22 and 5.2e-22), and the identical pair
+        # (1, 0) wins although pair (0, 0) has the higher regular score.
+        spec = SimilaritySpec(BLEU_T, 100)
+        regular, reverse = [("a", "b"), ("a", "a")], [("a", "a")]
+        assert [dissimilarity(y_n, reverse[0], spec) for y_n in regular] == [1.0, 1.0]
+        assert bleu_t(regular[1], reverse[0], spec) > bleu_t(regular[0], reverse[0], spec) > 0.0
+        assert agreement_argmin(regular, reverse, [-1.0, -2.0], spec) == (1, 0, 1.0, 2)
 
     def test_tie_with_a_larger_bound_is_still_visited(self):
         # Pair (1, 1) has WMD 2.5 but relaxed bound 2, so it is visited
@@ -424,8 +458,8 @@ class TestAgreementArgmin:
         # is a single-word pair placed at exactly that WMD, so it is visited
         # first and ties pair (0, 0), which wins on the higher regular score.
         vocab = dummy_vocab(10)
-        points = {"w4": [-0.1, 0.0], "w5": [0.5, 0.9], "w6": [-0.9, -0.7],
-                  "w7": [0.6, 0.9], "w8": [0.0, 50.0]}
+        points = {"w4": [-0.9, -0.6], "w5": [-0.5, 0.5], "w6": [0.1, -0.1],
+                  "w7": [-0.6, 0.5], "w8": [0.0, 50.0]}
         tie = dissimilarity((4, 5, 6), (7,), SimilaritySpec(
             WMD_T, max_length=1, vocab=vocab,
             embeddings=EmbeddingTable({w: np.array(x) for w, x in points.items()})))

@@ -903,34 +903,43 @@ def persisted_selections(path):
 @given(st.integers(30, 60), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
        st.lists(st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=3, unique=True),
        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), min_size=1, max_size=5, unique=True),
-       st.sampled_from([0.0, 0.6, 1.0]), st.sampled_from([0.05, 0.1, 1.0]), st.sampled_from([1, 2]))
+       st.sampled_from([0.0, 0.6, 1.0]), st.sampled_from([0.05, 0.1, 1.0]), st.sampled_from([1, 2]),
+       st.sampled_from([2, 3, 5, 8]), st.just(False))
 # Corpora on which validation BLEU picks a weight above the smallest one,
-# at BASE_FLAGS' k and the default alpha and min-count.
-@example(33, 4, 2, [2, 4], [0.0, 0.25, 0.5, 1.0, 2.0], 0.6, 0.01, 1)
-@example(30, 1, 2, [4, 2], [2.0, 1.0, 0.0], 0.6, 0.01, 1)
+# at BASE_FLAGS' k and T and the default alpha and min-count.
+@example(33, 4, 2, [2, 4], [0.0, 0.25, 0.5, 1.0, 2.0], 0.6, 0.01, 1, 8, False)
+@example(30, 1, 2, [4, 2], [2.0, 1.0, 0.0], 0.6, 0.01, 1, 8, False)
 # A corpus whose curve is all zeros: the smallest weight wins by the tie rule.
-@example(30, 0, 0, [2, 4], [2.0, 0.5, 0.0], 0.6, 0.01, 1)
-def test_sweep_equals_the_oracles(size, corpus_seed, split_seed, beam_sizes, grid, alpha, k, min_count):
+@example(30, 0, 0, [2, 4], [2.0, 0.5, 0.0], 0.6, 0.01, 1, 8, False)
+# T = 3 is below every target's length, so vbs pads its beams with
+# unfinished members, and five bidia-bleu picks at nb 4 are second members.
+@example(58, 332849, 32075, [2, 4], [0.0, 1.0], 0.0, 0.05, 1, 3, True)
+def test_sweep_equals_the_oracles(size, corpus_seed, split_seed, beam_sizes, grid, alpha, k, min_count,
+                                  t, late_pick):
     """train -> sweep -> analyze on a small corpus: every recorded weight and
     validation curve is the one the oracle gives on the loaded models and
     the validation split, every persisted vbs beam is ``reference_vbs``'s,
     every BLEU-4 cell is the oracle's corpus BLEU-4 of its persisted picks,
     and analyze scores each cell's picks as sweep did.  Odd beam sizes
-    leave out bidia-bleu, which needs an even one."""
+    leave out bidia-bleu, which needs an even one.  T is drawn below the
+    targets' lengths too, where beams hold unfinished members; with
+    ``late_pick`` some bidia-bleu pick is not the first member, so analyze
+    must read each record's ``selected_index``."""
     algorithms = "vbs,bidis" if any(nb % 2 for nb in beam_sizes) else "vbs,bidis,bidia-bleu"
     with tempfile.TemporaryDirectory() as root:
         corpus, out = Path(root) / "corpus.tsv", Path(root) / "run"
         write_corpus_tsv(synthetic_pairs(size, seed=corpus_seed), corpus)
-        # The later --k replaces BASE_FLAGS' one.
+        # The later --k and --T replace BASE_FLAGS' ones.
         flags = ["--corpus", str(corpus), *BASE_FLAGS, "--seed", str(split_seed), "--out", str(out),
-                 "--alpha", str(alpha), "--k", str(k), "--min-count", str(min_count)]
+                 "--alpha", str(alpha), "--k", str(k), "--min-count", str(min_count), "--T", str(t)]
         assert main(["train", *flags]) == 0
         assert main(["sweep", *flags, "--nb-list", ",".join(map(str, beam_sizes)),
                      "--algorithms", algorithms,
                      "--lambda-grid", ",".join(map(str, grid))]) == 0
 
         resolved = json.loads((out / "config_sweep.json").read_text(encoding="utf-8"))
-        assert (resolved["alpha"], resolved["k"], resolved["min_count"]) == (alpha, k, min_count)
+        assert (resolved["alpha"], resolved["k"], resolved["min_count"], resolved["max_length"]) == (
+            alpha, k, min_count, t)
         vocab = Vocabulary.load(out / "vocab.txt")
         regular = ConditionalNGramLM.load(out / "lm_regular.json", vocab)
         reverse = ConditionalNGramLM.load(out / "lm_reverse.json", vocab)
@@ -952,6 +961,10 @@ def test_sweep_equals_the_oracles(size, corpus_seed, split_seed, beam_sizes, gri
                                          resolved["max_length"], alpha)
                 assert ([member["tokens"] for member in record["beam"]]
                         == [list(tokens) for tokens, _, _ in expected.beam])
+        if late_pick:
+            assert any(json.loads(line)["selected_index"] > 1 for nb in beam_sizes
+                       for line in (out / f"beams_bidia-bleu_nb{nb}.jsonl").read_text(
+                           encoding="utf-8").splitlines())
         sweep = read_csv(out / "sweep.csv")[1:]
         for algorithm, nb, bleu, _, _ in sweep:
             selections = persisted_selections(out / f"beams_{algorithm}_nb{nb}.jsonl")

@@ -29,7 +29,7 @@ from bidibeam.similarity import (
     SimilaritySpec,
     dissimilarity,
     dissimilarity_lower_bound,
-    solve_transport,
+    tie_break,
 )
 
 from conftest import RandomTableLM, TieLM, covering_wmd_measures, dummy_vocab, made_by, wmd_measures
@@ -119,19 +119,21 @@ def test_shared_memo_matches_memo_free_decodes(data):
                 needed.add(key)
         return d
 
-    def counted_solve(problem):
+    def counted_solve(bags):
         key, memoised = pending[-1]
         if memoised:
             scanned[0] += 1
             solved[key] += 1
-        return solve_transport(problem)
+        return path_transport(bags)
+
+    path_transport = similarity._path_transport
 
     memo = Memo()
     expected_keys, expected_rescorings, agreements = set(), set(), set()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bidi, "dissimilarity", counted_dissimilarity)
         patch.setattr(bidi, "dissimilarity_lower_bound", counted_bound)
-        patch.setattr(similarity, "solve_transport", counted_solve)
+        patch.setattr(similarity, "_path_transport", counted_solve)
         for algorithm, b, source, slot, weight in calls:
             if algorithm == "rebuild":
                 slot = slot or 1  # a WMD slot
@@ -172,15 +174,16 @@ def test_shared_memo_matches_memo_free_decodes(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_each_stored_value_is_made_once(data):
-    """``dissimilarity`` and its lower bound, with WMD and BLEU-T measures
-    and pairs that include degenerate ones (an empty side, or nothing left
-    after filtering), and ``corpus_bleu4`` and ``best_hypothesis`` over the
-    same pairs, each called twice in shuffled order over one memo: every
-    memo maker runs once per key, so each (measure, pair)'s transport
-    problem is built once, a degenerate pair's None included, each pair
-    with a problem is solved once, each BLEU-T pair is scored once, n-grams
-    are counted once per distinct reference and once per distinct BLEU
-    pair, and every value equals its memo-free value and its oracle's.  A
+    """``dissimilarity``, its lower bound and ``tie_break``, with WMD and
+    BLEU-T measures and pairs that include degenerate ones (an empty side,
+    or nothing left after filtering), and ``corpus_bleu4`` and
+    ``best_hypothesis`` over the same pairs, each called twice in shuffled
+    order over one memo: every memo maker runs once per key, so each
+    (measure, pair)'s transport problem is built once, a degenerate pair's
+    None included, each pair with a problem is solved once, each BLEU-T
+    pair is scored once (for both its d and its tie-break), n-grams are
+    counted once per distinct reference and once per distinct BLEU pair,
+    and every value equals its memo-free value and its oracle's.  A
     get-or-make that took a stored None or +inf for a miss would make it
     again."""
     vocab = dummy_vocab(data.draw(st.integers(5, 7)))
@@ -189,7 +192,7 @@ def test_each_stored_value_is_made_once(data):
     core = st.lists(st.integers(0, vocab.size - 1), max_size=3).map(tuple)
     pairs = list(dict.fromkeys(data.draw(st.lists(st.tuples(core, core), min_size=1, max_size=8))))
     expected = {(score, y_n, y_r, measure): score(y_n, y_r, measure)
-                for score in (dissimilarity, dissimilarity_lower_bound)
+                for score in (dissimilarity, dissimilarity_lower_bound, tie_break)
                 for y_n, y_r in pairs for measure in measures}
     corpora = data.draw(st.lists(st.lists(st.sampled_from(pairs), min_size=1, max_size=4).map(tuple),
                                  min_size=1, max_size=3))
@@ -219,23 +222,24 @@ def test_each_stored_value_is_made_once(data):
         scored[(tuple(hypothesis), tuple(reference), spec)] += 1
         return bleu_t(hypothesis, reference, spec)
 
-    def counted_solve(problem):
+    def counted_solve(bags):
         solves[0] += 1
-        return solve_transport(problem)
+        return path_transport(bags)
 
     def counted_ngram_table(tokens):
         counted_ngrams[0] += 1
         return ngram_table(tokens)
 
     transport_problem, bleu_t = similarity._transport_problem, similarity.bleu_t
+    path_transport = similarity._path_transport
     ngram_table = evaluation.ngram_table
     memo = Memo()
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_problem", "_raw_wmd", "_raw_bound", "_bleu_dissimilarity"):
+        for name in ("_problem", "_raw_wmd", "_raw_bound", "_bleu_similarity"):
             patch.setattr(similarity, name, counted_make(getattr(similarity, name)))
         patch.setattr(similarity, "_transport_problem", counted_problem)
         patch.setattr(similarity, "bleu_t", counted_bleu_t)
-        patch.setattr(similarity, "solve_transport", counted_solve)
+        patch.setattr(similarity, "_path_transport", counted_solve)
         for name in ("_ngrams", "_clipped", "_sentence_bleu4"):
             patch.setattr(evaluation, name, counted_make(getattr(evaluation, name)))
         patch.setattr(evaluation, "ngram_table", counted_ngram_table)

@@ -71,3 +71,38 @@ def test_first_wmd_loads_the_solver_and_matches_the_oracle():
         assert "scipy.optimize" in sys.modules
         assert d == oracle_wmd(["a", "b"], ["c", "d"], vectors, frozenset()) == 4.5, d
     """)
+
+
+def test_wmd_agreement_never_loads_the_lp_solver():
+    # At T = 1 each half-beam holds the two single words a model likes most:
+    # w4 and w6 for the regular model, w5 and w7 for the reverse one.  Pairs
+    # (w4, w5) and (w6, w7) are two distinct problems that tie at distance
+    # 1, and the agreement pick still solves no LP.
+    run_fresh("""
+        import numpy as np
+        from bidibeam.beam import SearchParams
+        from bidibeam.bidi import bidia_decode
+        from bidibeam.corpus import RESERVED, Vocabulary
+        from bidibeam.lm import REGULAR, REVERSE, LanguageModel
+        from bidibeam.similarity import WMD_T, EmbeddingTable, SimilaritySpec
+
+        class Fixed(LanguageModel):
+            def __init__(self, vocab, direction, probabilities):
+                self.vocab, self.direction = vocab, direction
+                self.row = np.log(probabilities)
+
+            def next_token_logprobs(self, source, prefix):
+                return self.row
+
+        vocab = Vocabulary(list(RESERVED) + ["w4", "w5", "w6", "w7"])
+        regular = Fixed(vocab, REGULAR, [0.05, 0.05, 0.05, 0.05, 0.4, 0.05, 0.3, 0.05])
+        reverse = Fixed(vocab, REVERSE, [0.05, 0.05, 0.05, 0.05, 0.05, 0.4, 0.05, 0.3])
+        table = EmbeddingTable({"w4": np.array([0.0, 0.0]), "w5": np.array([1.0, 0.0]),
+                                "w6": np.array([5.0, 5.0]), "w7": np.array([5.0, 6.0])})
+        spec = SimilaritySpec(WMD_T, max_length=1, embeddings=table, vocab=vocab)
+        out = bidia_decode(regular, reverse, (4,), SearchParams(4, 1), spec)
+        assert [h.tokens for h in out.beam] == [(4,), (6,)]
+        assert [h.tokens for h in out.reverse_beam] == [(5,), (7,)]
+        assert (out.position, out.agreement.dissimilarity, out.report.exact_sim_evals) == (0, 1.0, 2)
+        assert "scipy.optimize" not in sys.modules
+    """)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bidibeam import similarity
 from bidibeam.errors import DegeneratePairError, FormatError, ParameterError
 from bidibeam.similarity import (
     BLEU_T,
@@ -328,6 +329,37 @@ class TestSolveTransport:
         with pytest.raises(ParameterError):
             TransportProblem(np.array([1.0]), np.array([1.0]),
                              np.array([[1.0, 2.0]]))
+
+
+@st.composite
+def word_bags(draw):
+    """Two sentences over distinct words and their embedding table: small
+    or large bags, 1-3 copies of each word, and vectors on a 5 x 5 integer
+    lattice, where many costs and transport optima tie, or drawn at random
+    from a normal distribution."""
+    sizes = [draw(st.one_of(st.integers(1, 6), st.integers(14, 20))) for _ in "xy"]
+    counts = [draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)) for n in sizes]
+    words = [[f"{side}{k}" for k in range(len(c))] for side, c in zip("xy", counts)]
+    if draw(st.booleans()):
+        lattice = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+        vectors = {w: np.array(draw(lattice), dtype=float) for w in words[0] + words[1]}
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        vectors = {w: rng.normal(size=8) for w in words[0] + words[1]}
+    x, y = ([w for w, c in zip(side, c) for _ in range(c)] for side, c in zip(words, counts))
+    return x, y, EmbeddingTable(vectors)
+
+
+@settings(max_examples=120, deadline=None)
+@given(word_bags())
+def test_raw_wmd_equals_highs_within_four_ulps(bags):
+    """The raw WMD that ``dissimilarity`` uses, solved on the bags' integer
+    counts, is within 4 ulps of ``solve_transport``'s LP value."""
+    x, y, table = bags
+    spec = SimilaritySpec(WMD_T, max_length=1, embeddings=table)
+    total = wmd(x, y, table)
+    raw = similarity._raw_wmd(tuple(x), tuple(y), spec, None)
+    assert abs(raw - total) <= 4 * math.ulp(total), (raw, total)
 
 
 @pytest.fixture

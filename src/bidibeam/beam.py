@@ -102,7 +102,7 @@ class Memo(dict):
     The makers are ``beam._search`` (one beam search), ``bidi._rescored``
     (a regular search and its ``rescore_terms``, shared by ``bidis_decode``
     and ``select_lambda``), ``bidi._agree`` (one agreement decode), and in
-    ``similarity`` a WMD pair's transport problem with its bags' counts
+    ``similarity`` a WMD pair's cost matrix and bags' word counts
     (``_problem``), its raw WMD (``_raw_wmd``, solved on those counts) and
     its relaxed WMD, both before ``bp_t`` (applied on every call, since it
     depends on the call's candidate length), and a BLEU-T pair's bleu_t

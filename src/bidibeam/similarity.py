@@ -7,10 +7,10 @@ Mover's Distance over word embeddings.  Both are exposed through a single
 
 A WMD is a transportation problem whose marginals are word counts over
 sentence lengths, so its optimum is an integral flow once both bags are
-scaled to a common length.  ``dissimilarity`` solves it exactly on those
-integer counts by successive shortest paths, in Python.  HiGHS
-(``solve_transport``, through scipy) solves it as an LP for ``wmd``, and
-scipy is imported at the first such solve.
+scaled to a common length.  ``wmd`` and ``dissimilarity`` solve it exactly
+on those integer counts by successive shortest paths (``_transport``), in
+Python; ``solve_transport`` runs the same solver on a problem's float
+marginals.
 """
 
 from __future__ import annotations
@@ -194,20 +194,24 @@ class EmbeddingTable:
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Parse a text vector file: optional "count dim" header, then one
-    "word v1 ... vd" line per word.  Duplicate words keep the first entry."""
+    "word v1 ... vd" line per word.  Duplicate words keep the first entry.
+    A header must state the number of vector lines and their dimension."""
     vectors: dict[str, np.ndarray] = {}
     dimension: Optional[int] = None
     lines = list(numbered_lines(read_user_text(path)))
     head = lines[0][1].split()
+    header = None
     if len(head) == 2:
         try:
-            int(head[0]), int(head[1])
+            header = int(head[0]), int(head[1])
             lines = lines[1:]
         except ValueError:
             pass
+    rows = 0
     for lineno, line in lines:
         if not line.strip():
             continue
+        rows += 1
         parts = line.rstrip().split(" ")
         word, raw_values = parts[0], parts[1:]
         try:
@@ -229,6 +233,9 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             vectors[word] = values
     if not vectors:
         raise FormatError(f"{path}: no embedding vectors found")
+    if header is not None and header != (rows, dimension):
+        raise FormatError(f"{path}: line 1: header declares {header[0]} vectors of dimension "
+                          f"{header[1]}, but the file holds {rows} of dimension {dimension}")
     return EmbeddingTable(vectors)
 
 
@@ -247,7 +254,8 @@ def default_stopwords() -> frozenset[str]:
 
 @dataclass(frozen=True)
 class TransportProblem:
-    """A balanced transportation LP: both marginals sum to 1 and agree, within 1e-9."""
+    """A balanced transportation problem: finite, non-negative weights and
+    costs, and both marginals sum to 1 and agree, within 1e-9."""
 
     supply: np.ndarray
     demand: np.ndarray
@@ -264,6 +272,8 @@ class TransportProblem:
             raise ParameterError("supply and demand must be 1-d weight vectors")
         if cost.shape != (supply.size, demand.size):
             raise ParameterError("cost matrix shape must match the weight vectors")
+        if not all(np.isfinite(a).all() for a in (supply, demand, cost)):
+            raise ParameterError("weights and costs must be finite")
         if (supply < 0).any() or (demand < 0).any():
             raise ParameterError("weights must be non-negative")
         if (cost < 0).any():
@@ -274,33 +284,13 @@ class TransportProblem:
 
 
 def solve_transport(problem: TransportProblem) -> tuple[np.ndarray, float]:
-    """Exactly solve the balanced transportation LP.
-
-    Returns the optimal flow matrix and its total cost.  The LP is solved
-    with a simplex method, so the flow is an exact vertex solution; the cost
-    is recomputed from the returned flow.  scipy's LP solver is imported
-    here, at the first solve, so a process that never solves a transport
-    LP never loads it.
-    """
-    from scipy.optimize import linprog
-
-    supply, demand, cost = problem.supply, problem.demand, problem.cost
-    if abs(supply.sum() - demand.sum()) > 1e-9:
-        raise ParameterError("supply and demand totals differ by more than 1e-9")
-    m, n = cost.shape
-    a_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        a_eq[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n):
-        a_eq[m + j, j::n] = 1.0
-    b_eq = np.concatenate([supply, demand])
-    result = linprog(
-        cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs"
-    )
-    if result.status != 0:
-        raise ParameterError(f"transportation LP not solved: {result.message}")
-    flow = np.maximum(result.x.reshape(m, n), 0.0)
-    return flow, float(np.sum(flow * cost))
+    """Exactly solve the balanced transportation problem by ``_transport``,
+    the solver of every WMD, on its float marginals: an optimal flow matrix
+    and its total cost, recomputed from the flow.  Where the totals differ,
+    the smaller side's weights are all sent and the other keeps the rest."""
+    flow = np.array(_transport(problem.supply.tolist(), problem.demand.tolist(),
+                               problem.cost.tolist()), dtype=float)
+    return flow, float(np.sum(flow * problem.cost))
 
 
 def _bag_of_words(words: Sequence[str]) -> tuple[list[str], list[int]]:
@@ -310,10 +300,9 @@ def _bag_of_words(words: Sequence[str]) -> tuple[list[str], list[int]]:
 
 
 class _Bags(NamedTuple):
-    """A WMD pair's transport problem with the two bags' word counts, which
-    its supply and demand are normalized from."""
+    """A WMD pair's Euclidean cost matrix and the two bags' word counts."""
 
-    lp: TransportProblem
+    cost: np.ndarray
     supply_counts: list[int]
     demand_counts: list[int]
 
@@ -324,8 +313,8 @@ def _transport_problem(
     table: EmbeddingTable,
     stopwords: frozenset[str],
 ) -> _Bags:
-    """Filter stopwords and words without embeddings, then build the
-    bag-of-words marginals and the Euclidean cost matrix of the pair."""
+    """Filter stopwords and words without embeddings, then count each bag's
+    words and build the Euclidean cost matrix of the pair."""
     kept_x = [w for w in x if w not in stopwords and w in table]
     kept_y = [w for w in y if w not in stopwords and w in table]
     dropped = (len(x) - len(kept_x)) + (len(y) - len(kept_y))
@@ -335,40 +324,32 @@ def _transport_problem(
         raise DegeneratePairError("a side is empty after stopword/OOV filtering")
     words_x, counts_x = _bag_of_words(kept_x)
     words_y, counts_y = _bag_of_words(kept_y)
-    supply, demand = np.array(counts_x, dtype=float), np.array(counts_y, dtype=float)
     points_x = np.stack([table.vector(w) for w in words_x])
     points_y = np.stack([table.vector(w) for w in words_y])
     deltas = points_x[:, None, :] - points_y[None, :, :]
-    cost = np.sqrt((deltas**2).sum(axis=2))
-    return _Bags(TransportProblem(supply / supply.sum(), demand / demand.sum(), cost),
-                 counts_x, counts_y)
+    return _Bags(np.sqrt((deltas**2).sum(axis=2)), counts_x, counts_y)
 
 
-def _path_transport(bags: _Bags) -> float:
-    """The exact optimum of ``bags.lp``, solved on the integer counts.
+def _transport(left: list, need: list, cost: list[list[float]]) -> list[list]:
+    """An optimal flow from supplies ``left`` to demands ``need``, which it
+    uses up, by successive shortest paths.
 
-    Both bags are scaled to L = lcm(|x|, |y|) tokens, so supplies and
-    demands are integers and an optimal flow is integral.  Successive
-    shortest paths find one.  Each round runs Dijkstra on reduced costs over
-    the m x n residual graph, from every row with supply left to the nearest
-    column with demand left, and sends along that path all the flow it
-    carries.  The node potentials then rise by the distances found, which
-    keeps every residual reduced cost non-negative.  Each round empties a
-    row, fills a column or cancels a flow, so the number of rounds does not
-    grow with L.  Returns sum(flow * cost) / L.
+    Each round runs Dijkstra on reduced costs over the m x n residual graph,
+    from every row with supply left to the nearest column with demand left,
+    and sends along that path all the flow it carries.  The node potentials
+    then rise by the distances found, which keeps every residual reduced
+    cost non-negative.  The amounts may be integers or floats: each round
+    sends the least of a row's supply, a column's demand and the flows it
+    cancels, and subtracting a value from itself leaves exactly 0, so each
+    round empties a row, fills a column or cancels a flow.  The rounds end
+    when either side has nothing left.
     """
-    size_x, size_y = sum(bags.supply_counts), sum(bags.demand_counts)
-    scale = math.lcm(size_x, size_y)
-    left = [c * (scale // size_x) for c in bags.supply_counts]
-    need = [c * (scale // size_y) for c in bags.demand_counts]
-    cost = bags.lp.cost.tolist()
     m, n = len(left), len(need)
     cols = range(m, m + n)  # rows are nodes 0 .. m-1, columns the next n
     flow = [[0] * n for _ in range(m)]
     carriers = [[] for _ in range(n)]  # the rows that send flow to each column
     potential = [0.0] * (m + n)
-    remaining = scale
-    while remaining:
+    while any(left) and any(need):
         distance = [0.0 if supply else math.inf for supply in left] + [math.inf] * n
         via = [-1] * (m + n)
         heap = [(0.0, i) for i in range(m) if left[i]]
@@ -405,13 +386,24 @@ def _path_transport(bags: _Bags) -> float:
         amount = min(amount, left[i])
         left[i] -= amount
         need[end] -= amount
-        remaining -= amount
         for i, j, sign in path:
             if not flow[i][j]:
                 carriers[j].append(i)
             flow[i][j] += sign * amount
             if not flow[i][j]:
                 carriers[j].remove(i)
+    return flow
+
+
+def _path_transport(bags: _Bags) -> float:
+    """The pair's exact WMD: ``_transport`` on both bags' counts scaled to
+    L = lcm(|x|, |y|) tokens, where an optimal flow is integral and the
+    number of rounds does not grow with L; sum(flow * cost) / L."""
+    size_x, size_y = sum(bags.supply_counts), sum(bags.demand_counts)
+    scale = math.lcm(size_x, size_y)
+    cost = bags.cost.tolist()
+    flow = _transport([c * (scale // size_x) for c in bags.supply_counts],
+                      [c * (scale // size_y) for c in bags.demand_counts], cost)
     return math.fsum(f * c for fs, cs in zip(flow, cost) for f, c in zip(fs, cs) if f) / scale
 
 
@@ -424,18 +416,18 @@ def wmd(
     """Word Mover's Distance between two sentences.
 
     Stopwords and words without embeddings are dropped first; if either side
-    becomes empty the pair is degenerate and cannot be compared.
+    becomes empty the pair is degenerate and cannot be compared.  This is
+    exactly the raw distance ``dissimilarity`` uses (``_raw_wmd``).
     """
-    _, total = solve_transport(_transport_problem(x, y, table, stopwords).lp)
-    return total
+    return _path_transport(_transport_problem(x, y, table, stopwords))
 
 
-def _relaxed_wmd(problem: TransportProblem) -> float:
+def _relaxed_wmd(bags: _Bags) -> float:
     """The relaxed WMD lower bound of Kusner et al. (2015): the larger of the
     two costs obtained by dropping one marginal constraint, each word then
     moving all its mass to its nearest word on the other side."""
-    to_y = float(problem.supply @ problem.cost.min(axis=1))
-    to_x = float(problem.demand @ problem.cost.min(axis=0))
+    to_y = float(np.divide(bags.supply_counts, sum(bags.supply_counts)) @ bags.cost.min(axis=1))
+    to_x = float(np.divide(bags.demand_counts, sum(bags.demand_counts)) @ bags.cost.min(axis=0))
     return max(to_y, to_x)
 
 
@@ -466,8 +458,8 @@ def _problem(
 
 
 def _raw_wmd(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None) -> float:
-    """The WMD pair's exact distance before ``bp_t`` (``_path_transport``);
-    +inf when degenerate."""
+    """The WMD pair's exact distance before ``bp_t``, the value ``wmd``
+    returns (``_path_transport``); +inf when degenerate."""
     bags = made(memo, _problem, y_n, y_r, spec)
     return math.inf if bags is None else _path_transport(bags)
 
@@ -475,7 +467,7 @@ def _raw_wmd(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | No
 def _raw_bound(y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None) -> float:
     """The WMD pair's relaxed distance before ``bp_t``; +inf when degenerate."""
     bags = made(memo, _problem, y_n, y_r, spec)
-    return math.inf if bags is None else _relaxed_wmd(bags.lp)
+    return math.inf if bags is None else _relaxed_wmd(bags)
 
 
 def _bleu_similarity(
@@ -495,7 +487,7 @@ def dissimilarity(
     pairs (an empty side, or nothing left after WMD filtering) score +inf so
     the argmin skips them unless every pair is degenerate.  A WMD pair's
     raw distance is the exact optimum on the bags' integer counts
-    (``_raw_wmd``), within a few ulps of what ``wmd`` returns.  With a memo,
+    (``_raw_wmd``), which is what ``wmd`` returns.  With a memo,
     a BLEU-T pair's bleu_t and a WMD pair's raw distance are computed once
     per memo (see ``beam.Memo``).
     """
@@ -510,7 +502,8 @@ def dissimilarity(
 def dissimilarity_lower_bound(
     y_n: Sequence, y_r: Sequence, spec: SimilaritySpec, memo: Memo | None = None
 ) -> float:
-    """A cheap lower bound on ``dissimilarity(y_n, y_r, spec)`` that solves no LP.
+    """A cheap lower bound on ``dissimilarity(y_n, y_r, spec)`` that solves
+    no transport problem.
 
     Degenerate pairs get +inf, which ``dissimilarity`` returns exactly;
     bleu_t gets the trivial bound 0; wmd_t gets the relaxed WMD scaled by

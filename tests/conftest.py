@@ -7,9 +7,14 @@ import pytest
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from bidibeam import similarity
 from bidibeam.corpus import RESERVED, Vocabulary
 from bidibeam.lm import REGULAR, LanguageModel
-from bidibeam.similarity import BP_DIVIDE, BP_MULTIPLY, WMD_T, EmbeddingTable, SimilaritySpec
+from bidibeam.similarity import (
+    BP_DIVIDE, BP_MULTIPLY, WMD_T, EmbeddingTable, SimilaritySpec, TransportProblem,
+)
+
+from oracles import highs_transport
 
 
 def dummy_vocab(size: int) -> Vocabulary:
@@ -17,6 +22,14 @@ def dummy_vocab(size: int) -> Vocabulary:
     if size < 4:
         raise ValueError("vocabularies start with the four reserved markers")
     return Vocabulary(list(RESERVED) + [f"w{i}" for i in range(4, size)])
+
+
+def highs_wmd(x, y, table: EmbeddingTable) -> float:
+    """HiGHS's value on the library's WMD problem of two word lists: the
+    bags' normalized counts and the library's own cost matrix."""
+    bags = similarity._transport_problem(x, y, table, frozenset())
+    supply, demand = (np.divide(c, sum(c)) for c in (bags.supply_counts, bags.demand_counts))
+    return highs_transport(TransportProblem(supply, demand, bags.cost))[1]
 
 
 def made_by(memo, make):

@@ -4,8 +4,8 @@ Everything here is written from the defining formulas, on purpose without
 reusing the library's helpers: n-gram counting one position at a time,
 exhaustive decode enumeration, corpus reading one line and one field at a
 time with a tokenizing regex, a transportation-polytope vertex solver over
-exact rationals, and from-scratch sentence similarity used to cross-check
-agreement decoding.
+exact rationals, transport LPs solved by scipy's HiGHS, and from-scratch
+sentence similarity used to cross-check agreement decoding.
 """
 
 from __future__ import annotations
@@ -296,6 +296,27 @@ def vertex_transport_cost(
             best = total
     assert best is not None, "balanced problems always admit a tree solution"
     return best
+
+
+def highs_transport(problem) -> tuple[np.ndarray, float]:
+    """A transportation problem solved as an LP by scipy's HiGHS, with all
+    m + n marginal equalities; the cost is recomputed from the returned
+    vertex flow.  HiGHS stops at absolute tolerances, so where costs are
+    tiny or nearly tie its cost can lie above the exact optimum."""
+    from scipy.optimize import linprog
+
+    supply, demand, cost = problem.supply, problem.demand, problem.cost
+    m, n = cost.shape
+    a_eq = np.zeros((m + n, m * n))
+    for i in range(m):
+        a_eq[i, i * n : (i + 1) * n] = 1.0
+    for j in range(n):
+        a_eq[m + j, j::n] = 1.0
+    result = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([supply, demand]),
+                     bounds=(0, None), method="highs")
+    assert result.status == 0, result.message
+    flow = np.maximum(result.x.reshape(m, n), 0.0)
+    return flow, float(np.sum(flow * cost))
 
 
 def oracle_bp_t(length: int, t: int) -> float:

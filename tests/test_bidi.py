@@ -39,7 +39,7 @@ from bidibeam.similarity import (
     wmd,
 )
 
-from conftest import RandomTableLM, covering_wmd_measures, dummy_vocab, wmd_measures
+from conftest import RandomTableLM, covering_wmd_measures, dummy_vocab, highs_wmd, wmd_measures
 from oracles import (
     naive_agreement_argmin,
     oracle_dissimilarity_bleu,
@@ -411,8 +411,8 @@ class TestAgreementArgmin:
         # As in test_bound_one_ulp_above_a_tie_is_still_visited, pair (1, 1)
         # is a single-word pair placed at pair (0, 0)'s WMD.  HiGHS rounds
         # pair (0, 0) one ulp above that value, so a scan over its solves
-        # would pick (1, 1); the library's d's tie, and pair (0, 0) wins on
-        # its higher regular score.
+        # would pick (1, 1); the library's d's (and ``wmd``) tie, and pair
+        # (0, 0) wins on its higher regular score.
         vocab = dummy_vocab(10)
         points = {"w4": [0.2, 0.2], "w5": [-0.3, -0.4], "w6": [0.1, 0.2],
                   "w7": [0.2, -0.2], "w8": [0.0, 50.0]}
@@ -422,7 +422,8 @@ class TestAgreementArgmin:
         points["w9"] = [tie, 50.0]
         table = EmbeddingTable({w: np.array(x) for w, x in points.items()})
         spec = SimilaritySpec(WMD_T, max_length=1, embeddings=table, vocab=vocab)
-        assert wmd(["w4", "w5", "w6"], ["w7"], table) > tie == dissimilarity((8,), (9,), spec)
+        words = (["w4", "w5", "w6"], ["w7"])
+        assert highs_wmd(*words, table) > tie == wmd(*words, table) == dissimilarity((8,), (9,), spec)
         assert agreement_argmin([(4, 5, 6), (8,)], [(7,), (9,)], [-1.0, -2.0], spec) == (0, 0, tie, 2)
 
     def test_bleu_t_ties_of_a_large_t_are_broken_by_the_similarity(self):

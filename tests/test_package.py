@@ -52,24 +52,42 @@ def test_commands_without_wmd_never_load_the_lp_solver():
             flags = ["--corpus", str(corpus), "--split", "0.8,0.1,0.1", "--out", str(Path(root) / "run")]
             assert bidibeam.cli.main(["train", *flags]) == 0
             assert bidibeam.cli.main(["decode", *flags, "--algorithm", "bidis", "--B", "2"]) == 0
-        assert "scipy.optimize" not in sys.modules
+        assert "scipy" not in sys.modules
     """)
 
 
 def test_first_wmd_loads_the_solver_and_matches_the_oracle():
+    # The library's own transport solver serves a bidia-wmd sweep, wmd() and
+    # solve_transport(), so none of them loads scipy; only the oracle does.
     # Integer coordinates and half-unit weights make every cost and flow
     # exact; the optimum moves a to d and b to c: 0.5 * 4 + 0.5 * 5.
     run_fresh("""
+        import tempfile
+        from pathlib import Path
+
         import numpy as np
-        from bidibeam.similarity import EmbeddingTable, wmd
+        import bidibeam.cli
+        from bidibeam.similarity import EmbeddingTable, TransportProblem, solve_transport, wmd
+        from bidibeam.synth import corpus_words, synthetic_pairs, write_corpus_tsv, write_embeddings
         from oracles import oracle_wmd
 
-        vectors = {"a": np.array([0.0, 0.0]), "b": np.array([3.0, 4.0]),
-                   "c": np.array([6.0, 8.0]), "d": np.array([0.0, 4.0])}
-        assert "scipy.optimize" not in sys.modules
-        d = wmd(["a", "b"], ["c", "d"], EmbeddingTable(vectors))
-        assert "scipy.optimize" in sys.modules
-        assert d == oracle_wmd(["a", "b"], ["c", "d"], vectors, frozenset()) == 4.5, d
+        with tempfile.TemporaryDirectory() as root:
+            pairs = synthetic_pairs(40, seed=0)
+            corpus, vectors = Path(root) / "corpus.tsv", Path(root) / "vectors.txt"
+            write_corpus_tsv(pairs, corpus)
+            write_embeddings(vectors, corpus_words(pairs), dim=4, seed=2)
+            flags = ["--corpus", str(corpus), "--split", "0.8,0.1,0.1", "--out", str(Path(root) / "run")]
+            assert bidibeam.cli.main(["train", *flags]) == 0
+            assert bidibeam.cli.main(["sweep", *flags, "--algorithms", "bidia-wmd",
+                                      "--nb-list", "2,4", "--embeddings", str(vectors)]) == 0
+        points = {"a": np.array([0.0, 0.0]), "b": np.array([3.0, 4.0]),
+                  "c": np.array([6.0, 8.0]), "d": np.array([0.0, 4.0])}
+        d = wmd(["a", "b"], ["c", "d"], EmbeddingTable(points))
+        half = np.array([0.5, 0.5])
+        flow, total = solve_transport(TransportProblem(half, half, np.array([[10.0, 4.0], [5.0, 7.0]])))
+        assert flow.tolist() == [[0.0, 0.5], [0.5, 0.0]] and total == 4.5
+        assert "scipy" not in sys.modules
+        assert d == oracle_wmd(["a", "b"], ["c", "d"], points, frozenset()) == 4.5, d
     """)
 
 

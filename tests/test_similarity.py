@@ -32,8 +32,10 @@ from bidibeam.similarity import (
     wmd,
 )
 
-from conftest import dummy_vocab, wmd_measures
-from oracles import oracle_bleu_t, oracle_clipped_precision_counts, vertex_transport_cost
+from conftest import dummy_vocab, highs_wmd, wmd_measures
+from oracles import (
+    highs_transport, oracle_bleu_t, oracle_clipped_precision_counts, vertex_transport_cost,
+)
 
 TOKENS = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=8)
 
@@ -206,6 +208,18 @@ class TestLoadEmbeddings:
         assert len(table) == 2
         assert "2" not in table
 
+    @pytest.mark.parametrize("header", ["5 3", "2 3", "1 2", "3 2", "0 2"])
+    def test_header_disagreeing_with_the_vectors_names_line_one(self, tmp_path, header):
+        # Two 2-d vectors under a header that declares another count or
+        # dimension: a truncated or mislabeled file.
+        path = tmp_path / "vec.txt"
+        path.write_text(f"{header}\ncat 1 2\ndog 4 5\n", encoding="utf-8")
+        count, dim = header.split()
+        with pytest.raises(FormatError) as info:
+            load_embeddings(path)
+        assert str(info.value) == (f"{path}: line 1: header declares {count} vectors of "
+                                   f"dimension {dim}, but the file holds 2 of dimension 2")
+
     def test_dimension_mismatch_names_line_five(self, tmp_path):
         path = tmp_path / "vec.txt"
         lines = ["w%d 1 2 3" % i for i in range(4)] + ["bad 1 2"]
@@ -330,6 +344,75 @@ class TestSolveTransport:
             TransportProblem(np.array([1.0]), np.array([1.0]),
                              np.array([[1.0, 2.0]]))
 
+    @pytest.mark.parametrize("supply, demand, cost", [
+        ([math.nan, 1.0], [1.0], [[1.0], [1.0]]),
+        ([1.0], [0.5, math.nan], [[1.0, 1.0]]),
+        ([1.0], [1.0], [[math.nan]]),
+        ([1.0], [1.0], [[math.inf]]),
+        ([0.5, 0.5], [1.0], [[1.0], [math.inf]]),
+    ])
+    def test_non_finite_input_rejected(self, supply, demand, cost):
+        # A NaN weight makes every total check false, so only an explicit
+        # finiteness check stops it.
+        with pytest.raises(ParameterError, match="finite"):
+            TransportProblem(np.array(supply), np.array(demand), np.array(cost))
+
+
+@st.composite
+def transport_problems(draw):
+    """Integer weights of 1-8 rows and 1-8 columns, some of them 0; a skew
+    of the demand's total, by less than the 1e-9 ``TransportProblem``
+    allows; and costs in eighths up to 5, where optima tie, or 0 or anywhere
+    in [1e-6, 1] (no cost product underflows), scaled by 1 or 1e-5."""
+    weights = [draw(st.lists(st.integers(0, 9), min_size=1, max_size=8).filter(any))
+               for _ in "sd"]
+    skew = draw(st.just(0.0) | st.floats(-9e-10, 9e-10))
+    cell = draw(st.sampled_from([st.integers(0, 40).map(lambda c: c / 8),
+                                   st.just(0.0) | st.floats(1e-6, 1)]))
+    cost = [[draw(cell) for _ in weights[1]] for _ in weights[0]]
+    return *weights, skew, np.array(cost) * draw(st.sampled_from([1.0, 1e-5]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(transport_problems())
+# HiGHS stops at its absolute tolerance, which tiny costs fall under: here
+# it returns 4.88e-6, the exact optimum being 4.85e-6.
+@example(([4, 2, 4], [1, 1], 0.0,
+          np.array([[3.7e-6, 4.5e-6], [5.8e-6, 7.8e-6], [4.5e-6, 5.4e-6]])))
+# The one costly flow is 8/23 - 7/21, a difference of two marginals, so
+# both solvers' totals are off by ulps of 1, not of the total.
+@example(([8, 1, 7, 0, 7], [5, 0, 9, 7], 0.0, np.outer([1.0, 0, 0, 0, 0], [1.0, 0, 1, 0])))
+def test_float_problems_are_solved_exactly(case):
+    supply_units, demand_units, skew, cost = case
+    supply = np.array(supply_units) / sum(supply_units)
+    demand = np.array(demand_units) / sum(demand_units) * (1 + skew)
+    problem = TransportProblem(supply, demand, cost)
+    flow, total = solve_transport(problem)
+    assert (flow >= 0).all()
+    assert np.abs(flow.sum(axis=1) - supply).max() <= 1e-9
+    assert np.abs(flow.sum(axis=0) - demand).max() <= 1e-9
+    # The rounds end once a side is used up, exactly: the smaller side
+    # where the totals differ, and the other keeps the difference.
+    left, need, gap = supply.tolist(), demand.tolist(), supply.sum() - demand.sum()
+    similarity._transport(left, need, cost.tolist())
+    assert not (any(left) and any(need))
+    if abs(gap) > 1e-12:
+        assert not any(left if gap < 0 else need)
+    assert sum(left) + sum(need) <= abs(gap) + 1e-12
+    # Moving |skew| more or less mass may change the cost by |skew| times
+    # the largest cost, against a balanced problem's optimum.  Flows are
+    # rounded to ulps of the marginals, which are at most 1, so totals
+    # differ by ulps of the largest cost.
+    margin = abs(skew) * cost.max()
+    highs = highs_transport(problem)[1]
+    assert total <= highs + 4 * math.ulp(cost.max()) + margin, (total, highs)
+    if len(supply) <= 4 and len(demand) <= 4:
+        want = vertex_transport_cost(
+            [Fraction(u, sum(supply_units)) for u in supply_units],
+            [Fraction(u, sum(demand_units)) for u in demand_units],
+            [[Fraction(c) for c in row] for row in cost.tolist()])
+        assert abs(total - float(want)) <= margin + 1e-12 * cost.max(), (total, want)
+
 
 @st.composite
 def word_bags(draw):
@@ -353,13 +436,14 @@ def word_bags(draw):
 @settings(max_examples=120, deadline=None)
 @given(word_bags())
 def test_raw_wmd_equals_highs_within_four_ulps(bags):
-    """The raw WMD that ``dissimilarity`` uses, solved on the bags' integer
-    counts, is within 4 ulps of ``solve_transport``'s LP value."""
+    """``wmd`` is exactly the raw WMD that ``dissimilarity`` uses, solved on
+    the bags' integer counts, and within 4 ulps of HiGHS's LP value."""
     x, y, table = bags
     spec = SimilaritySpec(WMD_T, max_length=1, embeddings=table)
     total = wmd(x, y, table)
-    raw = similarity._raw_wmd(tuple(x), tuple(y), spec, None)
-    assert abs(raw - total) <= 4 * math.ulp(total), (raw, total)
+    assert total == similarity._raw_wmd(tuple(x), tuple(y), spec, None)
+    highs = highs_wmd(x, y, table)
+    assert abs(total - highs) <= 4 * math.ulp(highs), (total, highs)
 
 
 @pytest.fixture
